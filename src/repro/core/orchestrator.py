@@ -14,6 +14,11 @@ The implementation accelerates the ranked scan with lazy re-evaluation
 (stale marginals are recomputed only when they reach the top of the heap),
 mirroring the paper's note that "UGs tend to have paths via a relatively
 small fraction of ingresses, speeding up computation".
+
+:meth:`PainterOrchestrator._solve` is the one greedy driver.  The per-row
+scan state it consults lives in a :class:`RowState` — one in-process
+instance over every row, or one per ``repro.parallel`` pool worker over
+that worker's rows — so serial and pool solves run the same loop.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 from repro.core.advertisement import AdvertisementConfig
 from repro.core.benefit import BenefitEvaluator, LatencyFn, realized_benefit
 from repro.core.routing_model import DEFAULT_D_REUSE_KM, RoutingModel
-from repro.kernels import ComputeBackend
+from repro.kernels import ComputeBackend, ScanContext
 from repro.perf import PERF
 from repro.scenario import Scenario
 from repro.telemetry import TRACER, emit_event
@@ -48,7 +53,6 @@ DENSE_AUTO_SLOTS = 32_000_000
 _BENEFIT_BUCKETS = (
     0.01, 0.1, 1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0,
 )
-_DEBUG_CHECK = False  # cross-check vectorized marginals against the scalar path
 
 logger = logging.getLogger(__name__)
 
@@ -366,6 +370,181 @@ class LearningResult:
         return [record.uncertainty for record in self.iterations]
 
 
+class RowState:
+    """Algorithm 1's per-row scan state for one solve.
+
+    Covers the UG rows held in its per-peering index arrays: every row when
+    the orchestrator solves in-process, one worker's contiguous range
+    ``[lo, hi)`` in the ``repro.parallel`` pool.  Learned rows are never
+    among them; the driver (:meth:`PainterOrchestrator._solve`) owns their
+    exact terms.  Per prefix it mirrors the :class:`PrefixScan` state of its
+    rows in numpy arrays, so a refresh marginal is a handful of array ops
+    instead of one bisect per row:
+
+    * ``d0``    closest accepted distance (inf while none kept)
+    * ``csum``  sum of measurable kept-set latencies
+    * ``ccnt``  count of measurable kept-set latencies
+    * ``ob``    min(base, current expected): the UG's best today
+
+    The arrays are indexed by global row, and every method returns per-row
+    elements only: contributions from several instances concatenate, in row
+    order, into exactly one instance's, and the driver does every
+    floating-point reduction.
+    """
+
+    def __init__(
+        self,
+        evaluator: BenefitEvaluator,
+        idx: Dict[int, "np.ndarray"],
+        vol: Dict[int, "np.ndarray"],
+        lat: Dict[int, "np.ndarray"],
+        dist: Dict[int, "np.ndarray"],
+        context: Optional[ScanContext] = None,
+    ) -> None:
+        self._evaluator = evaluator
+        self._ugs = evaluator.scenario.user_groups
+        self._backend = evaluator.backend
+        self._d_reuse = evaluator.model.d_reuse_km
+        self._context = context
+        #: Per peering: the covered rows (ascending), their volumes,
+        #: latencies (nan = unmeasurable) and distances.
+        self.idx = idx
+        self.vol = vol
+        self.lat = lat
+        self.dist = dist
+        self._fast_queries = PERF.counter("evaluator.scan_fast_queries")
+
+    def round_start(self, base_np: "np.ndarray") -> None:
+        """Reset for a new prefix; ``base_np`` is each row's best latency
+        from anycast or another prefix."""
+        self._base = base_np
+        self._base_list = base_np.tolist()
+        self.d0 = np.full(len(base_np), np.inf)
+        self.csum = np.zeros(len(base_np))
+        self.ccnt = np.zeros(len(base_np))
+        self.ob = base_np.copy()
+        self.scan = self._evaluator.begin_prefix_scan(self._context)
+
+    def initial_gains(self, peering_id: int) -> "np.ndarray":
+        """Per-row ``max(0, base - latency)``: the marginal with nothing
+        accepted is ``vol @ gains``."""
+        lat = self.lat[peering_id]
+        self._fast_queries.value += len(lat)
+        return self._backend.initial_gains(self._base[self.idx[peering_id]], lat)
+
+    def refresh(self, peering_id: int, heap=None) -> "np.ndarray":
+        """Per-row marginal contributions of ``peering_id`` right now.
+
+        The fused elementwise pipeline (reuse-window shrink test, kept-set
+        mean update, best-latency improvement) runs on the compute backend;
+        rows where the reuse window shrinks come back zeroed and get their
+        exact scalar term scattered back here, so the whole marginal is the
+        vector's one sum, and a later volume patch can redo that sum
+        bit-for-bit.  ``heap`` is unused: the pool-backed state reads it
+        to batch refreshes.
+        """
+        idx = self.idx[peering_id]
+        lat = self.lat[peering_id]
+        vol = self.vol[peering_id]
+        contrib, shrink = self._backend.refresh_contrib(
+            self.dist[peering_id],
+            lat,
+            vol,
+            self.d0[idx],
+            self.csum[idx],
+            self.ccnt[idx],
+            self.ob[idx],
+            self._base[idx],
+            self._d_reuse,
+        )
+        self._fast_queries.value += len(lat)
+        if shrink.any():
+            for pos in np.nonzero(shrink)[0]:
+                row = int(idx[pos])
+                new_p = self.scan.query(self._ugs[row], peering_id)
+                if new_p is None:
+                    continue
+                base = self._base_list[row]
+                new_best = new_p if new_p < base else base
+                contrib[pos] = vol[pos] * (self.ob[row] - new_best)
+        return contrib
+
+    def patch(
+        self, peering_id: int, contrib0: "np.ndarray", changed: Set[int]
+    ) -> Optional["np.ndarray"]:
+        """``contrib0`` with the ``changed`` rows' terms at today's volumes.
+
+        A volume shift changes marginal *weights* only; none of the scan
+        state depends on volumes.  So the shifted rows' terms are redone
+        with IEEE-double scalar clones of the vectorized ops in
+        :meth:`refresh` and substituted into the recorded vector, giving
+        the bits a fresh refresh would.  Learned rows among ``changed``
+        are the driver's.  Returns ``None`` when the recorded shape no
+        longer matches (the caller refreshes instead).
+        """
+        idx = self.idx[peering_id]
+        if len(contrib0) != len(idx):
+            return None  # learned split drifted under this memo
+        dist = self.dist[peering_id]
+        lat = self.lat[peering_id]
+        vol = self.vol[peering_id]
+        patched = contrib0.copy()
+        for row in changed:
+            # ``idx`` is ascending (catalog inversion walks UGs in row
+            # order, and the learned-split mask preserves it).
+            pos = int(np.searchsorted(idx, row))
+            if pos >= len(idx) or idx[pos] != row:
+                continue  # learned row
+            d0_s = float(self.d0[row])
+            ob_s = float(self.ob[row])
+            dist_s = float(dist[pos])
+            if dist_s < d0_s and math.isfinite(d0_s):
+                # Shrink rows hold their exact scalar term (or 0.0 when
+                # the UG loses its path); both the shrink set and query
+                # reachability are volume-independent.
+                new_p = self.scan.query(self._ugs[row], peering_id)
+                if new_p is None:
+                    patched[pos] = 0.0
+                else:
+                    base = self._base_list[row]
+                    new_best = new_p if new_p < base else base
+                    patched[pos] = float(vol[pos]) * (self.ob[row] - new_best)
+            else:
+                lat_s = float(lat[pos])
+                limit_s = (dist_s if dist_s < d0_s else d0_s) + self._d_reuse
+                add_s = dist_s <= limit_s and not math.isnan(lat_s)
+                new_cnt = float(self.ccnt[row]) + (1.0 if add_s else 0.0)
+                new_sum = float(self.csum[row]) + (lat_s if add_s else 0.0)
+                new_p = new_sum / (new_cnt if new_cnt > 1.0 else 1.0)
+                base_s = float(self._base[row])
+                if new_cnt > 0:
+                    new_best = base_s if base_s < new_p else new_p
+                else:
+                    new_best = ob_s
+                patched[pos] = float(vol[pos]) * (ob_s - new_best)
+        return patched
+
+    def accept(self, peering_id: int) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Fold an accepted peering in.
+
+        Returns the covered rows it affects and their expected latency
+        under the current prefix (``inf`` where the prefix is unusable).
+        """
+        idx = self.idx[peering_id]
+        ugs = [self._ugs[row] for row in idx.tolist()]
+        scan = self.scan
+        scan.accept(peering_id, ugs)
+        if not ugs:
+            return idx, np.empty(0)
+        d0, csum, ccnt, values = zip(*[scan.kept_stats(ug) for ug in ugs])
+        expected = np.array([np.inf if v is None else v for v in values])
+        self.d0[idx] = d0
+        self.csum[idx] = csum
+        self.ccnt[idx] = ccnt
+        self.ob[idx] = np.minimum(self._base[idx], expected)
+        return idx, expected
+
+
 class PainterOrchestrator:
     """Computes advertisement configurations for a scenario.
 
@@ -443,10 +622,12 @@ class PainterOrchestrator:
         self._dirty_vol_rows: Dict[int, Set[int]] = {}
         self._disabled_peerings: Set[int] = set()
         self._world_epoch = 0
-        #: Cached learned-rows split of the static arrays (keyed by the
-        #: learned-row set): rebuilding it is a Python loop over every
-        #: (peering, UG) pair, which would dominate warm re-solves.
+        #: Cached learned-rows split of the static arrays and the learned
+        #: (UG, row) pairs per peering (both keyed by the learned-row set):
+        #: rebuilding them is a Python loop over (peering, UG) pairs, which
+        #: would dominate warm re-solves.
         self._split_cache = None
+        self._learned_aff_cache = None
         self.last_warm_stats: Optional[WarmSolveStats] = None
 
     @property
@@ -483,10 +664,11 @@ class PainterOrchestrator:
         )
         return n_slots >= DENSE_AUTO_SLOTS
 
-    def _ensure_affected_arrays(self, vol_arr: "np.ndarray") -> None:
+    def _ensure_affected_arrays(self) -> None:
         """Build the static per-peering arrays the vectorized scan uses."""
         if self._aff_rows is not None:
             return
+        vol_arr = np.array([ug.volume for ug in self._scenario.user_groups])
         evaluator = self._evaluator
         model = self._model
         ug_index = self._ug_index
@@ -529,7 +711,7 @@ class PainterOrchestrator:
                 )
 
     def _learned_split(self, learned_rows: Set[int]):
-        """Static arrays split into vectorized (unlearned) and exact parts.
+        """Static arrays restricted to unlearned rows: ``(idx, vol, lat, dist)``.
 
         Cached by learned-row set: the split is a Python loop over every
         (peering, UG) pair, far too slow to repeat on every warm re-solve
@@ -537,13 +719,7 @@ class PainterOrchestrator:
         cached arrays in place (see :meth:`apply_volume_shift`).
         """
         if not learned_rows:
-            return (
-                self._aff_idx,
-                self._aff_vol,
-                self._aff_lat,
-                self._aff_dist,
-                {},
-            )
+            return self._aff_idx, self._aff_vol, self._aff_lat, self._aff_dist
         key = frozenset(learned_rows)
         cached = self._split_cache
         if cached is not None and cached[0] == key:
@@ -552,10 +728,8 @@ class PainterOrchestrator:
         build_vol: Dict[int, "np.ndarray"] = {}
         build_lat: Dict[int, "np.ndarray"] = {}
         build_dist: Dict[int, "np.ndarray"] = {}
-        learned_aff: Dict[int, List[Tuple[UserGroup, int]]] = {}
         masks: Dict[int, "np.ndarray"] = {}
-        for pid, affected in self._affected.items():
-            rows = self._aff_rows[pid]
+        for pid, rows in self._aff_rows.items():
             keep = np.array(
                 [row not in learned_rows for row in rows], dtype=bool
             )
@@ -570,14 +744,30 @@ class PainterOrchestrator:
                 build_vol[pid] = self._aff_vol[pid][keep]
                 build_lat[pid] = self._aff_lat[pid][keep]
                 build_dist[pid] = self._aff_dist[pid][keep]
-                learned_aff[pid] = [
-                    (ug, row)
-                    for ug, row in zip(affected, rows)
-                    if row in learned_rows
-                ]
-        arrays = (build_idx, build_vol, build_lat, build_dist, learned_aff)
+        arrays = (build_idx, build_vol, build_lat, build_dist)
         self._split_cache = (key, arrays, masks)
         return arrays
+
+    def _learned_affected(
+        self, learned_rows: Set[int]
+    ) -> Dict[int, List[Tuple[UserGroup, int]]]:
+        """Each peering's learned ``(UG, row)`` pairs, row-ascending.
+
+        These rows take the exact Eq.-2 path in the driver, whatever row
+        state the solve runs on.  Cached by learned-row set.
+        """
+        key = frozenset(learned_rows)
+        cached = self._learned_aff_cache
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        ugs = self._scenario.user_groups
+        catalog = self._scenario.catalog
+        learned_aff: Dict[int, List[Tuple[UserGroup, int]]] = {}
+        for row in sorted(learned_rows):
+            for pid in catalog.ingress_ids(ugs[row]):
+                learned_aff.setdefault(pid, []).append((ugs[row], row))
+        self._learned_aff_cache = (key, learned_aff)
+        return learned_aff
 
     # -- world mutation (the controller's delta surface) ---------------------
 
@@ -824,32 +1014,22 @@ class PainterOrchestrator:
 
     # -- Algorithm 1, middle + inner loops ----------------------------------
 
-    def solve(
-        self, record_curve: bool = False, workers: Optional[int] = None
-    ) -> AdvertisementConfig:
+    def solve(self, record_curve: bool = False) -> AdvertisementConfig:
         """Greedy allocation of the prefix budget (one outer-loop pass).
 
         Parallelism and the compute backend are configured once on
         :class:`OrchestratorConfig` (``workers=``, ``backend=``); any value
-        of ``workers`` above 1 shards the marginal evaluations across a
-        persistent fork pool (``repro.parallel``) with bit-identical
-        results, and worker failure falls back to the serial path.  The
-        per-call ``workers=`` override is deprecated.
+        of ``workers`` above 1 keeps the per-row scan state in a persistent
+        fork pool (``repro.parallel``) with bit-identical results, and
+        worker failure falls back to the serial path.
         """
-        if workers is not None:
-            warnings.warn(
-                "solve(workers=...) is deprecated; set "
-                "OrchestratorConfig(workers=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         with TRACER.span(
             "orchestrator.solve",
             budget=self._budget,
             backend=self._evaluator.backend.name,
         ) as span:
             with PERF.timed("orchestrator.solve"):
-                config = self._solve_dispatch(record_curve, workers)
+                config = self._solve_dispatch(record_curve)
             span.tag("prefixes_used", config.prefix_count)
             span.tag("pairs_used", config.pair_count)
             return config
@@ -871,26 +1051,19 @@ class PainterOrchestrator:
             return True
         return False
 
-    def _solve_dispatch(
-        self, record_curve: bool, workers: Optional[int]
-    ) -> AdvertisementConfig:
-        n_workers = self._config.workers if workers is None else workers
-        # Disabled peerings force the serial path: forked workers hold the
-        # candidate peering list frozen from fork time, and the serial
-        # solve is the one place the exclusion is applied authoritatively.
-        if (
-            n_workers > 1
-            and not self._disabled_peerings
-            and self._breaker_allows_parallel()
-        ):
+    def _solve_dispatch(self, record_curve: bool) -> AdvertisementConfig:
+        n_workers = self._config.workers
+        if n_workers > 1 and self._breaker_allows_parallel():
             solver = self._ensure_parallel(n_workers)
             if solver is not None:
                 from repro.parallel import WorkerPoolError
 
                 try:
-                    return solver.solve(record_curve=record_curve)
+                    config = self._solve(record_curve=record_curve, solver=solver)
+                    solver.merge_worker_metrics()
+                    return config
                 except WorkerPoolError as exc:
-                    # Graceful degradation: the sharded solve is
+                    # Graceful degradation: the pool solve is
                     # deterministic, so re-running serially from scratch
                     # produces exactly the configuration the pool would
                     # have.  The breaker keeps later solves serial too —
@@ -916,7 +1089,18 @@ class PainterOrchestrator:
         memo_out: Optional[SolveMemo] = None,
         dirty: FrozenSet[int] = frozenset(),
         vol_rows: Optional[Dict[int, Set[int]]] = None,
+        solver=None,
     ) -> AdvertisementConfig:
+        """Algorithm 1's middle and inner loops: the one greedy driver.
+
+        The per-row scan state is a :class:`RowState` over every row, or,
+        given ``solver`` (a :class:`repro.parallel.ParallelSolver`), the
+        pool-backed state whose workers each hold one over their rows.
+        Everything else lives here: the candidate list, the lazy heap, memo
+        replay and volume patches, the learned-row terms and every
+        floating-point reduction, so the answer cannot depend on where the
+        rows live.
+        """
         if vol_rows is None:
             vol_rows = {}
         scenario = self._scenario
@@ -930,47 +1114,48 @@ class PainterOrchestrator:
         marginal_hist = PERF.histogram(
             "orchestrator.marginal_benefit", _BENEFIT_BUCKETS
         )
-        # Fill the UG×peering latency store up front so the ranked scan
-        # below never pays a latency_of call mid-heap-operation.  Large
-        # worlds (see DENSE_AUTO_SLOTS) materialize flat float64 matrices
-        # on the compute backend instead of per-UG Python rows; with a
-        # dense matrix already bound (parallel fill or an earlier
-        # materialization) the row precompute would only duplicate it, so
-        # it is skipped — unfilled slots fall back per lookup to the same
-        # deterministic oracle.
-        if self._use_dense_matrices():
-            evaluator.materialize_latency_matrices(
-                budget_bytes=self._config.dense_budget_bytes
-            )
-        if evaluator.backend.latency_matrix is None:
-            evaluator.precompute_latency_matrix()
-
         ugs = scenario.user_groups
         n_ugs = len(ugs)
         model = self._model
-        anycast_arr = np.array(
-            [scenario.anycast_latency_ms(ug) for ug in ugs]
-        )
-        vol_list = [ug.volume for ug in ugs]
-        vol_arr = np.array(vol_list)
-        self._ensure_affected_arrays(vol_arr)
-        fast_queries = PERF.counter("evaluator.scan_fast_queries")
 
-        # Expected latency per (UG row, prefix); +inf where the prefix is
-        # unusable for the UG (None), so row minima need no masking.
-        exp_np = np.full((n_ugs, self._budget), np.inf)
-
-        # Per-solve fast/slow split: the vectorized heap build covers UGs
-        # whose predictions are pure distance pruning; UGs with learned
-        # state go through the exact (memoized) Eq.-2 path.
+        # Per-solve fast/slow split: the row state covers UGs whose
+        # predictions are pure distance pruning; UGs with learned state go
+        # through the exact (memoized) Eq.-2 path below.
         learned_rows = {
             self._ug_index[ug_id]
             for ug_id in model.learned_ug_ids
             if ug_id in self._ug_index
         }
-        build_idx, build_vol, build_lat, build_dist, learned_aff = (
-            self._learned_split(learned_rows)
+        if solver is None:
+            # Fill the UG×peering latency store up front so the ranked scan
+            # never pays a latency_of call mid-heap-operation.  Large worlds
+            # (see DENSE_AUTO_SLOTS) materialize flat float64 matrices on
+            # the compute backend instead of per-UG Python rows; with a
+            # dense matrix already bound (an earlier pool fill or
+            # materialization) the row precompute would only duplicate it,
+            # so it is skipped: unfilled slots fall back per lookup to the
+            # same deterministic oracle.
+            if self._use_dense_matrices():
+                evaluator.materialize_latency_matrices(
+                    budget_bytes=self._config.dense_budget_bytes
+                )
+            if evaluator.backend.latency_matrix is None:
+                evaluator.precompute_latency_matrix()
+            self._ensure_affected_arrays()
+            rows = RowState(evaluator, *self._learned_split(learned_rows))
+        else:
+            # The workers fill the shared latency matrix and the parent
+            # binds it; the parent's model is the authoritative learned set.
+            rows = solver.rows(tuple(sorted(model.learned_ug_ids)))
+        learned_aff = self._learned_affected(learned_rows)
+        anycast_arr = np.array(
+            [scenario.anycast_latency_ms(ug) for ug in ugs]
         )
+        vol_list = [ug.volume for ug in ugs]
+
+        # Expected latency per (UG row, prefix); +inf where the prefix is
+        # unusable for the UG (None), so row minima need no masking.
+        exp_np = np.full((n_ugs, self._budget), np.inf)
 
         all_peering_ids = sorted(
             pid
@@ -1012,8 +1197,8 @@ class PainterOrchestrator:
             memo_out.active_peerings = frozenset(all_peering_ids)
 
         for prefix in range(self._budget):
-            # Manual enter/exit keeps the 200-line loop body unindented;
-            # while tracing is disabled both calls hit the shared no-op.
+            # Manual enter/exit keeps the loop body unindented; while
+            # tracing is disabled both calls hit the shared no-op.
             scan_cm = TRACER.span("orchestrator.prefix_scan", prefix=prefix)
             scan_span = scan_cm.__enter__()
             advertised: Set[int] = set()
@@ -1029,271 +1214,94 @@ class PainterOrchestrator:
             if memo_out is not None:
                 pmemo_out = _PrefixMemo()
                 memo_out.prefixes.append(pmemo_out)
-            # Incremental Eq.-2 session: marginal queries against the
-            # growing accepted set cost a binary search for unlearned UGs
-            # instead of a full candidate-set rebuild.
+            # Incremental Eq.-2 session for the learned rows (the row state
+            # keeps its own for the rows it covers).
             scan = evaluator.begin_prefix_scan()
             # Best latency each UG gets from anycast or *another* prefix.
             # Fixed for the whole inner loop: accepts only change the
-            # current prefix's expected latencies, which are excluded —
-            # the reason the old per-accept base-cache clear was wasted
-            # work (exp_np[:, prefix] is still all-inf when this runs).
+            # current prefix's expected latencies, which are excluded
+            # (exp_np[:, prefix] is still all-inf when this runs).
             base_np = np.minimum(anycast_arr, exp_np.min(axis=1)) if n_ugs else anycast_arr
             base_list = base_np.tolist()
-            # Expected latency of the current prefix per UG row (None until
-            # a compliant peering is accepted).
+            # Expected latency of the current prefix per learned row (None
+            # until a compliant peering is accepted).
             cur_p: List[Optional[float]] = [None] * n_ugs
-            # Numpy mirror of the PrefixScan state for unlearned UGs, so a
-            # refresh marginal is a handful of array ops instead of one
-            # bisect per affected UG:
-            #   d0_arr    closest accepted distance (inf while none kept)
-            #   csum_arr  sum of measurable kept-set latencies
-            #   ccnt_arr  count of measurable kept-set latencies
-            #   ob_arr    min(base, current expected) — the UG's best today
-            d_reuse = model.d_reuse_km
-            d0_arr = np.full(n_ugs, np.inf)
-            csum_arr = np.zeros(n_ugs)
-            ccnt_arr = np.zeros(n_ugs)
-            ob_arr = base_np.copy()
-            backend = evaluator.backend
+            rows.round_start(base_np)
+            heap: List[Tuple[float, int, int]] = []
+
+            def learned_term(peering_id: int, ug: UserGroup, row: int) -> float:
+                """Exact marginal term of one learned row."""
+                base_s = base_list[row]
+                old_p = cur_p[row]
+                old_best = base_s if old_p is None or base_s < old_p else old_p
+                new_p_s = scan.query(ug, peering_id)
+                if new_p_s is None:
+                    new_best_s = old_best
+                elif new_p_s < base_s:
+                    new_best_s = new_p_s
+                else:
+                    new_best_s = base_s
+                return vol_list[row] * (old_best - new_best_s)
 
             def marginal(peering_id: int) -> Tuple[float, tuple]:
                 """Fresh marginal plus its summation detail.
 
-                The detail — the per-row contribution vector (shrink rows
-                hold their exact scalar term) and the ordered learned-loop
-                terms — lets a later warm solve whose only dirt on this
-                peering is a volume shift substitute the shifted rows and
-                replay the identical float summation (bit-equal result)
-                without re-running the vectorized scan.
+                The detail, the per-row contribution vector and the ordered
+                learned-row terms, lets a later warm solve whose only dirt
+                on this peering is a volume shift substitute the shifted
+                rows and replay the identical float summation (bit-equal
+                result) without refreshing the row state.
                 """
                 marginal_evals.add()
-                idx = build_idx[peering_id]
-                dist = build_dist[peering_id]
-                lat = build_lat[peering_id]
-                # The fused elementwise pipeline (reuse-window shrink test,
-                # kept-set mean update, best-latency improvement) runs on
-                # the compute backend; rows where the reuse window shrinks
-                # come back zeroed and are recomputed exactly below.  Every
-                # backend returns bit-identical elements (the kernels are
-                # reduction-free — see repro.kernels), so the contrib.sum()
-                # reduction below is the same float for all of them.
-                contrib, shrink = backend.refresh_contrib(
-                    dist,
-                    lat,
-                    build_vol[peering_id],
-                    d0_arr[idx],
-                    csum_arr[idx],
-                    ccnt_arr[idx],
-                    ob_arr[idx],
-                    base_np[idx],
-                    d_reuse,
-                )
-                fast_queries.value += len(lat)
-                # Shrink rows get their exact scalar term scattered back
-                # into the contribution vector (rather than added to a
-                # running scalar): the whole unlearned part then reduces in
-                # one numpy sum, which a later volume patch can reproduce
-                # bit-for-bit by substituting the shifted elements and
-                # re-running the identical pairwise reduction.
-                if shrink.any():
-                    for pos in np.nonzero(shrink)[0]:
-                        row = int(idx[pos])
-                        ug = ugs[row]
-                        ob_s = ob_arr[row]
-                        new_p_s = scan.query(ug, peering_id)
-                        if new_p_s is None:
-                            continue
-                        base_s = base_list[row]
-                        new_best_s = new_p_s if new_p_s < base_s else base_s
-                        contrib[pos] = vol_list[row] * (ob_s - new_best_s)
+                contrib = rows.refresh(peering_id, heap)
+                terms = [
+                    learned_term(peering_id, ug, row)
+                    for ug, row in learned_aff.get(peering_id, ())
+                ]
                 delta = float(contrib.sum())
-                learned_terms: List[float] = []
-                for ug, row in learned_aff.get(peering_id, ()):
-                    base_s = base_list[row]
-                    old_p = cur_p[row]
-                    old_best = (
-                        base_s if old_p is None or base_s < old_p else old_p
-                    )
-                    new_p_s = scan.query(ug, peering_id)
-                    if new_p_s is None:
-                        new_best_s = old_best
-                    elif new_p_s < base_s:
-                        new_best_s = new_p_s
-                    else:
-                        new_best_s = base_s
-                    term = vol_list[row] * (old_best - new_best_s)
+                for term in terms:
                     delta += term
-                    learned_terms.append(term)
-                if _DEBUG_CHECK:
-                    ref = 0.0
-                    for ug, row in zip(
-                        self._affected[peering_id], self._aff_rows[peering_id]
-                    ):
-                        base_s = base_list[row]
-                        old_p = cur_p[row]
-                        old_best = (
-                            base_s if old_p is None or base_s < old_p else old_p
-                        )
-                        new_p_s = scan.query(ug, peering_id)
-                        if new_p_s is None:
-                            new_best_s = old_best
-                        elif new_p_s < base_s:
-                            new_best_s = new_p_s
-                        else:
-                            new_best_s = base_s
-                        ref += vol_list[row] * (old_best - new_best_s)
-                    if abs(ref - delta) > 1e-6:
-                        import sys
-                        print(
-                            f"MISMATCH pid={peering_id} vec={delta!r} ref={ref!r}",
-                            file=sys.stderr,
-                        )
-                        for ug, row, pos in zip(
-                            self._affected[peering_id],
-                            self._aff_rows[peering_id],
-                            range(len(self._aff_rows[peering_id])),
-                        ):
-                            base_s = base_list[row]
-                            old_p = cur_p[row]
-                            old_best = (
-                                base_s
-                                if old_p is None or base_s < old_p
-                                else old_p
-                            )
-                            new_p_s = scan.query(ug, peering_id)
-                            if new_p_s is None:
-                                new_best_s = old_best
-                            elif new_p_s < base_s:
-                                new_best_s = new_p_s
-                            else:
-                                new_best_s = base_s
-                            c_ref = vol_list[row] * (old_best - new_best_s)
-                            c_vec = float(contrib[pos]) if pos < len(contrib) else 0.0
-                            if abs(c_ref - c_vec) > 1e-9 and not shrink[pos]:
-                                print(
-                                    f"  row={row} dist={dist[pos]} lat={lat[pos]}"
-                                    f" d0={d0_arr[row]} csum={csum_arr[row]}"
-                                    f" ccnt={ccnt_arr[row]} ob={ob_arr[row]}"
-                                    f" cur_p={old_p} new_p_ref={new_p_s}"
-                                    f" c_ref={c_ref} c_vec={c_vec}",
-                                    file=sys.stderr,
-                                )
-                        raise SystemExit(1)
                 # ``contrib`` is freshly allocated per call, so the detail
                 # can hold it without a defensive copy.
-                return delta, (contrib, learned_terms)
+                return delta, (contrib, terms)
 
             def patch_marginal(peering_id: int, key: Tuple[int, int]):
                 """Volume-patch a memoized marginal: bit-equal, far cheaper.
 
-                A volume shift changes marginal *weights* only — none of
-                the scan state (``d0_arr``/``csum_arr``/``ccnt_arr``/
-                ``ob_arr``) depends on volumes, and while ``intact`` that
-                state evolves exactly as it did in the memo run.  So the
-                shifted rows' terms are recomputed with IEEE-double scalar
-                clones of the vectorized ops in ``marginal``, substituted
-                into the recorded contribution vector and scalar-addition
-                sequence, and the identical float summation is replayed —
-                producing the same bits a fresh evaluation would, without
-                rescanning the untouched rows.  Returns ``None`` when the
-                recorded shape no longer matches (caller re-evaluates).
+                While ``intact`` the scan state evolves exactly as it did in
+                the memo run, so only the shifted rows' terms can differ.
+                Returns ``None`` when the recorded shape no longer matches
+                (caller re-evaluates).
                 """
                 rec = pmemo_in.detail.get(key)
                 if rec is None:
                     return None
-                contrib0, learned_terms = rec
-                idx = build_idx[peering_id]
-                if len(contrib0) != len(idx):
-                    return None  # learned split drifted under this memo
+                contrib0, terms0 = rec
                 la = learned_aff.get(peering_id, ())
-                if len(la) != len(learned_terms):
+                if len(la) != len(terms0):
                     return None
-                dist = build_dist[peering_id]
-                lat = build_lat[peering_id]
-                vol = build_vol[peering_id]
-                patched = contrib0.copy()
                 changed = vol_rows[peering_id]
-                for row in changed:
-                    # ``idx`` is ascending (catalog inversion walks UGs in
-                    # row order, and the learned-split mask preserves it).
-                    pos = int(np.searchsorted(idx, row))
-                    if pos >= len(idx) or idx[pos] != row:
-                        continue  # learned row: handled in the loop below
-                    d0_s = float(d0_arr[row])
-                    ob_s = float(ob_arr[row])
-                    dist_s = float(dist[pos])
-                    shrink_s = dist_s < d0_s and math.isfinite(d0_s)
-                    if shrink_s:
-                        # Shrink rows hold their exact scalar term (or 0.0
-                        # when the UG loses its path); both the shrink set
-                        # and query reachability are volume-independent.
-                        new_p_s = scan.query(ugs[row], peering_id)
-                        if new_p_s is None:
-                            patched[pos] = 0.0
-                        else:
-                            bl = base_list[row]
-                            nb = new_p_s if new_p_s < bl else bl
-                            patched[pos] = vol_list[row] * (
-                                ob_arr[row] - nb
-                            )
-                    else:
-                        lat_s = float(lat[pos])
-                        limit_s = (
-                            dist_s if dist_s < d0_s else d0_s
-                        ) + d_reuse
-                        add_s = dist_s <= limit_s and not math.isnan(lat_s)
-                        new_cnt = float(ccnt_arr[row]) + (
-                            1.0 if add_s else 0.0
-                        )
-                        new_sum = float(csum_arr[row]) + (
-                            lat_s if add_s else 0.0
-                        )
-                        new_p = new_sum / (new_cnt if new_cnt > 1.0 else 1.0)
-                        base_s = float(base_np[row])
-                        if new_cnt > 0:
-                            new_best = base_s if base_s < new_p else new_p
-                        else:
-                            new_best = ob_s
-                        patched[pos] = float(vol[pos]) * (ob_s - new_best)
+                patched = rows.patch(peering_id, contrib0, changed)
+                if patched is None:
+                    return None
+                terms = [
+                    learned_term(peering_id, ug, row) if row in changed else term
+                    for (ug, row), term in zip(la, terms0)
+                ]
                 total = float(patched.sum())
-                if la:
-                    new_learned: List[float] = []
-                    for i, (ug, row) in enumerate(la):
-                        if row in changed:
-                            base_s = base_list[row]
-                            old_p = cur_p[row]
-                            old_best = (
-                                base_s
-                                if old_p is None or base_s < old_p
-                                else old_p
-                            )
-                            new_p_s = scan.query(ug, peering_id)
-                            if new_p_s is None:
-                                new_best_s = old_best
-                            elif new_p_s < base_s:
-                                new_best_s = new_p_s
-                            else:
-                                new_best_s = base_s
-                            t = vol_list[row] * (old_best - new_best_s)
-                        else:
-                            t = learned_terms[i]
-                        total += t
-                        new_learned.append(t)
-                else:
-                    new_learned = learned_terms
-                return total, (patched, new_learned)
+                for term in terms:
+                    total += term
+                return total, (patched, terms)
 
             # Initial heap build: with nothing accepted yet, each unlearned
             # affected UG contributes vol * max(0, base - latency), so one
-            # masked dot product replaces the per-UG Python loop.
+            # dot product replaces the per-UG Python loop.
             version = 0
-            heap: List[Tuple[float, int, int]] = []
             for pid in all_peering_ids:
                 marginal_evals.add()
                 # Volume-dirty peerings rebuild fresh too: the initial
-                # build is one masked dot product, and BLAS accumulation
-                # order is not reproducible by scalar patching.
+                # build is one dot product, and BLAS accumulation order is
+                # not reproducible by scalar patching.
                 cached = (
                     pmemo_in.build.get(pid)
                     if intact and pid not in dirty and pid not in vol_rows
@@ -1304,12 +1312,7 @@ class PainterOrchestrator:
                     reused_evals += 1
                 else:
                     fresh_evals += 1
-                    lat = build_lat[pid]
-                    # Elementwise gains on the backend; the vol @ gain dot
-                    # product (a reduction) stays on the host numpy path.
-                    gain = backend.initial_gains(base_np[build_idx[pid]], lat)
-                    delta = float(build_vol[pid] @ gain)
-                    fast_queries.value += len(lat)
+                    delta = float(rows.vol[pid] @ rows.initial_gains(pid))
                     for ug, row in learned_aff.get(pid, ()):
                         base = base_list[row]
                         new_p = scan.query(ug, pid)
@@ -1354,7 +1357,7 @@ class PainterOrchestrator:
                             pmemo_out.detail[key] = detail
                     # Lazy re-evaluation: the refreshed marginal is only
                     # re-enqueued when it has fallen below the current heap
-                    # top — otherwise it is still the best candidate and is
+                    # top; otherwise it is still the best candidate and is
                     # decided on right here, with no extra pop.
                     if heap and fresh < -heap[0][0] - EPSILON_BENEFIT:
                         repushes.add()
@@ -1378,22 +1381,13 @@ class PainterOrchestrator:
                     # computed against state we no longer share.
                     intact = False
                 version += 1
-                affected = self._affected.get(pid, ())
-                scan.accept(pid, affected)
-                for ug, row in zip(affected, self._aff_rows[pid]):
-                    if row in learned_rows:
-                        value = scan.current(ug)
-                    else:
-                        d0, ksum, kcnt, value = scan.kept_stats(ug)
-                        d0_arr[row] = d0
-                        csum_arr[row] = ksum
-                        ccnt_arr[row] = kcnt
+                accepted_rows, expected = rows.accept(pid)
+                exp_np[accepted_rows, prefix] = expected
+                scan.accept(pid, ())
+                for ug, row in learned_aff.get(pid, ()):
+                    value = scan.current(ug)
                     cur_p[row] = value
                     exp_np[row, prefix] = np.inf if value is None else value
-                    base = base_list[row]
-                    ob_arr[row] = (
-                        base if value is None or base < value else value
-                    )
                 if not self._allow_reuse:
                     break  # one peering per prefix (ablation)
 

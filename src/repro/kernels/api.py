@@ -11,9 +11,10 @@ Bit-exactness contract
 ----------------------
 
 Backends compute **elementwise quantities only**.  Every floating-point
-*reduction* (``contrib.sum()``, the initial ``vol @ gain`` dot product,
-scalar shrink corrections, the learned-UG loop, warm-start volume patches)
-stays on the host numpy path in canonical row order.  Elementwise IEEE-754
+*reduction* (``contrib.sum()`` with the exact shrink-row terms scattered
+in, the initial ``vol @ gain`` dot product, the learned-UG loop,
+warm-start volume patches) stays on the host numpy path in canonical row
+order.  Elementwise IEEE-754
 double operations are bit-identical across conforming implementations (no
 FMA contraction, no fastmath), so every backend produces bit-identical
 solve results by construction — the serial numpy solver remains the oracle

@@ -1,10 +1,9 @@
 """The numpy reference backend — the bit-exactness oracle.
 
 Hosts the canonical elementwise kernels every other backend must
-reproduce bit-for-bit.  ``refresh_contrib`` is the serial solver's
-refresh-marginal vector expression (previously duplicated in
-``repro.parallel.shard``, which now re-exports it from here);
-``initial_gains`` is the initial-heap ``np.fmax(base - lat, 0.0)``.
+reproduce bit-for-bit.  ``refresh_contrib`` is the solver's
+refresh-marginal vector expression; ``initial_gains`` is the initial-heap
+``np.fmax(base - lat, 0.0)``.
 """
 
 from __future__ import annotations

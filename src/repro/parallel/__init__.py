@@ -1,13 +1,15 @@
-"""Intra-solve parallelism: sharded lazy-greedy evaluation, bit-identical.
+"""Intra-solve parallelism: the greedy's row state in a fork pool, bit-identical.
 
 ``PainterOrchestrator.solve`` with ``OrchestratorConfig(workers=N)`` (or
-``repro solve --workers N``) shards each prefix round's candidate-peering
-marginal evaluations across ``N`` persistent fork workers.  The latency and
-distance matrices live in ``multiprocessing.shared_memory`` — workers fill
-and read them as plain numpy views, and nothing scenario-sized ever crosses
-a pipe.  Results are **bit-identical** to the serial path for every worker
-count: workers compute only elementwise per-row slices, and the parent
-performs every floating-point reduction over canonically ordered full
+``repro solve --workers N``) keeps each solve's per-row scan state in ``N``
+persistent fork workers, one :class:`repro.core.orchestrator.RowState` per
+worker over its row range, while the orchestrator's one greedy driver runs
+in the parent.  The latency and distance matrices live in
+``multiprocessing.shared_memory``: workers fill and read them as plain
+numpy views, and nothing scenario-sized ever crosses a pipe.  Results are
+**bit-identical** to the serial path for every worker count: workers
+compute only elementwise per-row slices, and the driver performs every
+floating-point reduction over the concatenated, canonically ordered
 arrays (see :mod:`repro.parallel.shard` for the invariants).
 
 Process-wide gating: :func:`disable_parallel` turns the subsystem off for
@@ -24,7 +26,7 @@ from repro.parallel.pool import (
 )
 from repro.parallel.shard import ShardContext, ShardState, shard_ranges
 from repro.parallel.shared import SharedArray
-from repro.parallel.solver import SPECULATIVE_REFRESHES, ParallelSolver
+from repro.parallel.solver import SPECULATIVE_REFRESHES, ParallelSolver, PoolRows
 
 _ENABLED = True
 
@@ -54,6 +56,7 @@ def enable_parallel() -> None:
 __all__ = [
     "DEFAULT_TIMEOUT_S",
     "ParallelSolver",
+    "PoolRows",
     "SPECULATIVE_REFRESHES",
     "SharedArray",
     "ShardContext",

@@ -1,43 +1,38 @@
-"""Row-sharded worker state for the parallel lazy-greedy solve.
+"""Row-sharded pool workers for the parallel solve.
 
-Each worker owns a contiguous range of UG rows ``[lo, hi)`` and performs,
-for those rows only, exactly the per-row work the serial ``_solve`` does:
-filling the latency/distance matrices, computing initial-heap gains, the
-vectorized part of a marginal refresh, and folding accepted peerings into
-an incremental :class:`repro.core.benefit.PrefixScan`.
+Each worker owns a contiguous range of UG rows ``[lo, hi)``: it fills those
+rows of the shared latency/distance matrices once per pool, and for every
+solve hosts the :class:`repro.core.orchestrator.RowState` over them (built
+from the shared matrices instead of the orchestrator's per-peering arrays).
+The greedy loop itself runs only in the parent's ``PainterOrchestrator._solve``.
 
-Bit-identity with the serial path rests on three invariants, all enforced
-here:
+Bit-identity with the in-process solve rests on three invariants:
 
-* workers compute only **elementwise / per-row** quantities — every
+* a row state computes only **elementwise / per-row** quantities; every
   floating-point *reduction* (``contrib.sum()``, the initial ``vol @ gain``
-  dot product, scalar shrink-correction accumulation) happens in the parent
-  over full arrays assembled in canonical row order, so the summation order
-  is the serial order regardless of worker count;
+  dot product, the learned-row terms) happens in the driver over full
+  arrays assembled in canonical row order;
 * shard row ranges are contiguous and affected-UG lists are row-ascending
   (``_invert_catalog`` walks UGs in scenario order), so concatenating
-  worker results in worker-index order reproduces the serial array layout
-  with no re-sorting;
-* the per-value math is the *same code* the serial path runs — the
+  worker results in worker-index order reproduces the in-process array
+  layout with no re-sorting;
+* the per-value math is the *same code* the in-process solve runs: the
   deterministic latency/distance oracles, the compute backend's
   elementwise kernels (``repro.kernels``; workers inherit the evaluator's
   backend at fork time, so a compiled solve is compiled in every shard),
-  and the shared :class:`PrefixScan` — evaluated on the same IEEE doubles.
+  and :class:`RowState` with its :class:`PrefixScan`, on the same IEEE
+  doubles.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# Re-exported for backward compatibility: the canonical kernel now lives in
-# the numpy reference backend (every ComputeBackend reproduces it
-# bit-for-bit elementwise).
+from repro.core.orchestrator import RowState
 from repro.kernels import ScanContext
-from repro.kernels.numpy_backend import refresh_contrib  # noqa: F401
-from repro.perf import PERF
 
 
 def shard_ranges(n_rows: int, n_workers: int) -> List[Tuple[int, int]]:
@@ -78,16 +73,10 @@ class ShardContext:
         self.scenario = scenario
         self.evaluator = evaluator
         self.model = model
-        #: The evaluator's compute backend: forked workers inherit it (a
-        #: numba backend's compiled dispatchers survive ``fork``), so shard
-        #: kernels run on exactly the backend the serial path would use.
-        self.backend = evaluator.backend
         self.affected = affected
         self.ug_index = ug_index
         self.all_peering_ids: List[int] = sorted(affected)
         self.col_of: Dict[int, int] = evaluator.peering_columns
-        self.n_ugs = len(scenario.user_groups)
-        self.d_reuse = model.d_reuse_km
         self.lat_mat = lat_mat
         self.dist_mat = dist_mat
         self.gain_buf = gain_buf
@@ -101,13 +90,33 @@ class ShardContext:
         }
         self.total_pairs = sum(len(ugs) for ugs in affected.values())
 
+    def unlearned_rows(self, learned_ug_ids: Sequence[int]) -> Dict[int, "np.ndarray"]:
+        """Each peering's affected rows outside the learned set, ascending.
+
+        Keyed in :attr:`all_peering_ids` order, which is the order of the
+        peerings' spans in the shared gain buffer.
+        """
+        ug_index = self.ug_index
+        learned = np.fromiter(
+            sorted(ug_index[ug_id] for ug_id in learned_ug_ids if ug_id in ug_index),
+            dtype=np.intp,
+        )
+        rows_np = self.rows_np
+        if not learned.size:
+            return {pid: rows_np[pid] for pid in self.all_peering_ids}
+        return {
+            pid: rows_np[pid][~np.isin(rows_np[pid], learned)]
+            for pid in self.all_peering_ids
+        }
+
 
 class ShardState:
-    """One worker's mutable solve state over its row range ``[lo, hi)``.
+    """One pool worker: rows ``[lo, hi)`` of the shared matrices and the
+    :class:`RowState` over them.
 
     The public methods are the worker protocol: ``fill``, ``prep``,
     ``round_start``, ``refresh``, ``accept``, ``invalidate``.  All of them
-    run equally well in-process (the unit tests drive them directly) — the
+    run equally well in-process (the unit tests drive them directly); the
     pool merely moves the calls behind a pipe.
     """
 
@@ -116,27 +125,11 @@ class ShardState:
         self.lo = lo
         self.hi = hi
         self.ugs = ctx.scenario.user_groups
-        # Same construction as the serial solve: python-float volumes and
-        # their float64 array image.
-        self.vol_list = [ug.volume for ug in self.ugs]
-        self.vol_arr = np.array(self.vol_list)
-        self._prepped = False
-        # Per-solve state (built by prep):
-        self.learned_rows: set = set()
-        self.local: Dict[int, Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]] = {}
+        self.vol_arr = np.array([ug.volume for ug in self.ugs])
+        #: This solve's row state and ``(start, count)`` gain-buffer spans
+        #: (built by ``prep``, dropped by ``invalidate``).
+        self.rows: Optional[RowState] = None
         self.spans: Dict[int, Tuple[int, int]] = {}
-        self.shard_all: Dict[int, list] = {}
-        self.shard_unlearned: Dict[int, List[Tuple[object, int]]] = {}
-        # Per-round state (built by round_start):
-        self.scan = None
-        self.base_np: Optional["np.ndarray"] = None
-        self.base_list: Optional[list] = None
-        self.d0_arr: Optional["np.ndarray"] = None
-        self.csum_arr: Optional["np.ndarray"] = None
-        self.ccnt_arr: Optional["np.ndarray"] = None
-        self.ob_arr: Optional["np.ndarray"] = None
-        self._learned_frozen: FrozenSet[int] = frozenset()
-        self._fast_queries = PERF.counter("evaluator.scan_fast_queries")
 
     # -- one-time: matrix fill ----------------------------------------------
 
@@ -163,70 +156,40 @@ class ShardState:
                 filled += 1
         return filled
 
-    # -- per-solve: learned split + gain-buffer layout -----------------------
+    # -- per solve -----------------------------------------------------------
 
     def prep(self, learned_ug_ids: Sequence[int]) -> int:
-        """Build this solve's per-peering local arrays and buffer spans.
+        """Build this solve's row state over the shard's unlearned rows.
 
         ``learned_ug_ids`` is the authoritative learned set from the parent
         (the worker's forked routing model is frozen at pool-creation time
-        and must not be consulted).  Learned rows are excluded here exactly
-        as the serial solve's keep-mask excludes them; the parent handles
-        all learned-row corrections itself.
+        and must not be consulted).  Returns the gain buffer's total
+        (learned-filtered) pair count over all shards.
         """
         ctx = self.ctx
-        self._learned_frozen = frozenset(learned_ug_ids)
-        ug_index = ctx.ug_index
-        learned_rows = {
-            ug_index[ug_id] for ug_id in learned_ug_ids if ug_id in ug_index
-        }
-        self.learned_rows = learned_rows
-        learned_sorted = np.fromiter(
-            sorted(learned_rows), dtype=np.intp, count=len(learned_rows)
-        )
-        lat_mat = ctx.lat_mat
-        dist_mat = ctx.dist_mat
-        lo, hi = self.lo, self.hi
-        local = {}
+        idx, vol, lat, dist = {}, {}, {}, {}
         spans = {}
-        shard_all = {}
-        shard_unlearned = {}
         off = 0
-        for pid in ctx.all_peering_ids:
-            rows = ctx.rows_np[pid]
-            if not learned_rows:
-                filt = rows
-            else:
-                filt = rows[~np.isin(rows, learned_sorted)]
-            left = int(np.searchsorted(filt, lo))
-            right = int(np.searchsorted(filt, hi))
-            sel = filt[left:right]
+        for pid, rows in ctx.unlearned_rows(learned_ug_ids).items():
+            left = int(np.searchsorted(rows, self.lo))
+            right = int(np.searchsorted(rows, self.hi))
+            sel = rows[left:right]
             col = ctx.col_of[pid]
-            lat = lat_mat[sel, col].copy()
-            lat[np.isinf(lat)] = np.nan  # serial build_lat uses nan for None
-            dist = dist_mat[sel, col].copy()
-            local[pid] = (sel, lat, dist, self.vol_arr[sel])
+            lat_p = ctx.lat_mat[sel, col]
+            lat_p[np.isinf(lat_p)] = np.nan  # row states use nan for None
+            idx[pid] = sel
+            vol[pid] = self.vol_arr[sel]
+            lat[pid] = lat_p
+            dist[pid] = ctx.dist_mat[sel, col]
             spans[pid] = (off + left, right - left)
-            off += len(filt)
-            affected = ctx.affected[pid]
-            rows_list = rows.tolist()
-            in_shard = [
-                (ug, row)
-                for ug, row in zip(affected, rows_list)
-                if lo <= row < hi
-            ]
-            shard_all[pid] = [ug for ug, _ in in_shard]
-            shard_unlearned[pid] = [
-                (ug, row) for ug, row in in_shard if row not in learned_rows
-            ]
-        self.local = local
+            off += len(rows)
+        context = ScanContext(
+            learned_ug_ids=frozenset(learned_ug_ids),
+            table_source=self._table_source,
+        )
+        self.rows = RowState(ctx.evaluator, idx, vol, lat, dist, context)
         self.spans = spans
-        self.shard_all = shard_all
-        self.shard_unlearned = shard_unlearned
-        self._prepped = True
-        return off  # total (learned-filtered) pair count, all shards
-
-    # -- per-prefix round ----------------------------------------------------
+        return off
 
     def _table_source(self, ug):
         """Scan table for one UG, sourced from the shared matrices."""
@@ -246,98 +209,21 @@ class ShardState:
         return table
 
     def round_start(self, base_np: "np.ndarray") -> None:
-        """Reset per-prefix state and write this shard's initial gains.
-
-        Gains land in the shared buffer at each peering's span, giving the
-        parent the full serial ``fmax(base - lat, 0)`` vector per peering
-        once every worker has acknowledged; the parent then performs the
-        ``vol @ gain`` reduction itself.
-        """
-        ctx = self.ctx
-        self.base_np = base_np
-        self.base_list = base_np.tolist()
-        n = ctx.n_ugs
-        self.d0_arr = np.full(n, np.inf)
-        self.csum_arr = np.zeros(n)
-        self.ccnt_arr = np.zeros(n)
-        self.ob_arr = base_np.copy()
-        self.scan = ctx.evaluator.begin_prefix_scan(
-            ScanContext(
-                learned_ug_ids=self._learned_frozen,
-                table_source=self._table_source,
-            )
-        )
-        gains = ctx.gain_buf
-        backend = ctx.backend
-        for pid in ctx.all_peering_ids:
-            sel, lat, _dist, _vol = self.local[pid]
-            start, count = self.spans[pid]
+        """Start a prefix and write the shard's initial gains into the
+        shared buffer at each peering's span."""
+        self.rows.round_start(base_np)
+        gains = self.ctx.gain_buf
+        for pid, (start, count) in self.spans.items():
             if count:
-                gains[start : start + count] = backend.initial_gains(
-                    base_np[sel], lat
-                )
-            self._fast_queries.value += count
+                gains[start : start + count] = self.rows.initial_gains(pid)
 
-    def refresh(self, pids: Sequence[int]) -> List[Tuple["np.ndarray", list]]:
-        """Shard slice of the refresh marginal for each requested peering.
+    def refresh(self, pids: Sequence[int]) -> List["np.ndarray"]:
+        """The shard's contribution slice for each requested peering."""
+        return [self.rows.refresh(pid) for pid in pids]
 
-        Returns, per peering, ``(contrib, corrections)``: the vectorized
-        per-row contributions (shrink rows zeroed) and the exact scalar
-        shrink corrections in ascending row order.  The parent concatenates
-        worker contribs and sums everything itself.
-        """
-        out = []
-        backend = self.ctx.backend
-        for pid in pids:
-            sel, lat, dist, vol = self.local[pid]
-            contrib, shrink = backend.refresh_contrib(
-                dist,
-                lat,
-                vol,
-                self.d0_arr[sel],
-                self.csum_arr[sel],
-                self.ccnt_arr[sel],
-                self.ob_arr[sel],
-                self.base_np[sel],
-                self.ctx.d_reuse,
-            )
-            corrections = []
-            if shrink.any():
-                for pos in np.nonzero(shrink)[0]:
-                    row = int(sel[pos])
-                    ug = self.ugs[row]
-                    ob_s = self.ob_arr[row]
-                    new_p_s = self.scan.query(ug, pid)
-                    if new_p_s is None:
-                        continue
-                    base_s = self.base_list[row]
-                    new_best_s = new_p_s if new_p_s < base_s else base_s
-                    corrections.append(self.vol_list[row] * (ob_s - new_best_s))
-            self._fast_queries.value += len(lat)
-            out.append((contrib, corrections))
-        return out
-
-    def accept(self, pid: int) -> List[Tuple[int, Optional[float]]]:
-        """Fold an accepted peering into this shard's scan state.
-
-        Returns ``(row, expected latency)`` updates for the shard's
-        unlearned affected rows, exactly the values the serial accept loop
-        writes into ``exp_np``; the parent applies them and handles learned
-        rows itself.
-        """
-        self.scan.accept(pid, self.shard_all.get(pid, ()))
-        updates = []
-        for ug, row in self.shard_unlearned.get(pid, ()):
-            d0, ksum, kcnt, value = self.scan.kept_stats(ug)
-            self.d0_arr[row] = d0
-            self.csum_arr[row] = ksum
-            self.ccnt_arr[row] = kcnt
-            updates.append((row, value))
-            base = self.base_list[row]
-            self.ob_arr[row] = base if value is None or base < value else value
-        return updates
-
-    # -- epoch invalidation --------------------------------------------------
+    def accept(self, pid: int) -> Tuple["np.ndarray", "np.ndarray"]:
+        """The shard's rows of ``pid`` and their new expected latencies."""
+        return self.rows.accept(pid)
 
     def invalidate(self, ug_ids: Sequence[int]) -> int:
         """Drop per-solve state after the parent's model learned ``ug_ids``.
@@ -346,9 +232,6 @@ class ShardState:
         set the parent sends; dropping eagerly here makes it impossible for
         a stale layout to survive an ``observe()`` between solves.
         """
-        self._prepped = False
-        self.local = {}
+        self.rows = None
         self.spans = {}
-        self.shard_all = {}
-        self.shard_unlearned = {}
         return len(tuple(ug_ids))

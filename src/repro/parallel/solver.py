@@ -1,59 +1,129 @@
-"""The parent-side parallel solve driver.
+"""The parallel solve's pool lifecycle and its pool-backed row state.
 
-``ParallelSolver`` owns the shared-memory matrices, the fork pool of
-:class:`repro.parallel.shard.ShardState` workers, and a ``solve()`` that
-mirrors ``PainterOrchestrator._solve`` phase for phase:
+``ParallelSolver`` owns the shared-memory matrices and the fork pool of
+:class:`repro.parallel.shard.ShardState` workers; it runs no greedy loop of
+its own.  ``PainterOrchestrator._solve``, the one Algorithm-1 driver, asks
+it for a :class:`PoolRows`: the row state of a solve whose rows live in the
+workers, each of which holds one :class:`repro.core.orchestrator.RowState`
+over its row range.
 
 1. **fill** (once per pool): workers fill their row ranges of the shared
-   UG×peering latency/distance matrices; the parent adopts the latency
+   UG×peering latency/distance matrices; the parent binds the latency
    matrix so its own evaluator reads the same doubles without recomputing.
 2. **prep** (once per solve): the parent broadcasts the authoritative
-   learned-UG set; both sides derive the identical learned-filtered pair
-   layout of the gain buffer.
-3. **round_start** (once per prefix): workers write initial-heap gains into
-   the shared buffer; the parent performs every ``vol @ gain`` reduction
-   over the full canonical segments.
-4. **refresh / accept** (inner loop): workers return shard slices and
-   scalar corrections; the parent concatenates in worker order (== global
-   row order), sums, applies learned-row corrections, and drives the one
-   true heap.
+   learned-UG set; each worker builds its row state and both sides derive
+   the same learned-filtered layout of the gain buffer.
+3. **round_start** (once per prefix): workers write their rows'
+   initial-heap gains into the shared buffer.
+4. **refresh / accept** (inner loop): workers return their rows'
+   contribution slices and expected-latency updates; :class:`PoolRows`
+   concatenates them in worker order (== global row order).
 
-Refreshes are batched speculatively: alongside the popped peering, up to
-:data:`SPECULATIVE_REFRESHES` stale heap-top candidates ride the same
-round trip.  Their marginals are pure functions of the (version-stamped)
-round state, so caching them until the next accept changes nothing about
-the values the serial path would compute — it only saves pipe latency
-during re-push streaks.
+The driver performs every reduction over those full arrays, exactly as it
+does over an in-process row state's, which is why ``workers=N`` is
+bit-identical to the serial solve for every N.
 
-Every floating-point reduction happens here, in serial order, which is why
-``workers=N`` is bit-identical to the serial solve for every N.
+Refreshes are batched speculatively: alongside the requested peering, up
+to :data:`SPECULATIVE_REFRESHES` stale heap-top candidates ride the same
+round trip.  Their contributions are pure functions of the round state,
+so caching them until the next accept changes no value; it only saves
+pipe latency during re-push streaks.
 """
 
 from __future__ import annotations
 
-import heapq
-import logging
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.advertisement import AdvertisementConfig
 from repro.parallel.pool import DEFAULT_TIMEOUT_S, WorkerPool, WorkerPoolError
 from repro.parallel.shard import ShardContext, ShardState, shard_ranges
 from repro.parallel.shared import SharedArray
 from repro.perf import PERF
-from repro.telemetry import TRACER
 from repro.telemetry.metrics import METRICS
-
-logger = logging.getLogger(__name__)
 
 #: Extra stale heap-top marginals refreshed per round trip (batched
 #: speculation; identical values, fewer pipe crossings).
 SPECULATIVE_REFRESHES = 3
 
 
+class PoolRows:
+    """The row state of one pool solve, as the driver sees it.
+
+    Same surface as :class:`repro.core.orchestrator.RowState` (``vol``,
+    ``round_start``, ``initial_gains``, ``refresh``, ``accept``); each call
+    is answered by the workers, and per-row results come back in global row
+    order, so the driver's reductions see the in-process floats.
+    """
+
+    def __init__(
+        self,
+        pool: WorkerPool,
+        gains: "np.ndarray",
+        layout: Dict[int, "np.ndarray"],
+        vol_arr: "np.ndarray",
+    ) -> None:
+        self._pool = pool
+        self._gains = gains
+        #: Per peering: volumes of its unlearned rows, and its
+        #: ``(start, count)`` span of the shared gain buffer.
+        self.vol: Dict[int, "np.ndarray"] = {}
+        self._spans: Dict[int, Tuple[int, int]] = {}
+        off = 0
+        for pid, rows in layout.items():
+            self._spans[pid] = (off, len(rows))
+            self.vol[pid] = vol_arr[rows]
+            off += len(rows)
+        #: pid -> refreshed contributions, valid until the next accept.
+        self._speculative: Dict[int, "np.ndarray"] = {}
+        self._version = 0
+        self._spec_hits = PERF.counter("parallel.speculative_hits")
+        self._roundtrips = PERF.counter("parallel.refresh_roundtrips")
+
+    def round_start(self, base_np: "np.ndarray") -> None:
+        self._pool.broadcast("round_start", base_np)
+        self._speculative.clear()
+        self._version = 0
+
+    def initial_gains(self, peering_id: int) -> "np.ndarray":
+        start, count = self._spans[peering_id]
+        return self._gains[start : start + count]
+
+    def refresh(self, peering_id: int, heap: Sequence[Tuple[float, int, int]]):
+        """Contributions of ``peering_id``; stale entries near the top of
+        the driver's ``heap`` are refreshed in the same round trip."""
+        contrib = self._speculative.pop(peering_id, None)
+        if contrib is not None:
+            self._spec_hits.add()
+            return contrib
+        batch = [peering_id]
+        if SPECULATIVE_REFRESHES and len(heap) > 1:
+            for _neg, seen, pid in sorted(heap[:8])[: SPECULATIVE_REFRESHES + 1]:
+                if (
+                    seen != self._version
+                    and pid != peering_id
+                    and pid not in self._speculative
+                    and len(batch) <= SPECULATIVE_REFRESHES
+                ):
+                    batch.append(pid)
+        self._roundtrips.add()
+        replies = self._pool.broadcast("refresh", batch)
+        for i, pid in enumerate(batch):
+            self._speculative[pid] = np.concatenate([reply[i] for reply in replies])
+        return self._speculative.pop(peering_id)
+
+    def accept(self, peering_id: int) -> Tuple["np.ndarray", "np.ndarray"]:
+        self._version += 1
+        self._speculative.clear()
+        replies = self._pool.broadcast("accept", peering_id)
+        return (
+            np.concatenate([rows for rows, _ in replies]),
+            np.concatenate([expected for _, expected in replies]),
+        )
+
+
 class ParallelSolver:
-    """Shards one orchestrator's lazy-greedy solve across forked workers."""
+    """The worker pool behind one orchestrator's pool solves."""
 
     def __init__(
         self,
@@ -68,7 +138,6 @@ class ParallelSolver:
         self.n_workers = n_workers
         scenario = orchestrator._scenario
         evaluator = orchestrator._evaluator
-        model = orchestrator._model
         n_ugs = len(scenario.user_groups)
         n_cols = len(evaluator.peering_columns)
         self._lat = SharedArray((n_ugs, n_cols), fill=np.nan)
@@ -78,7 +147,7 @@ class ParallelSolver:
         ctx = ShardContext(
             scenario,
             evaluator,
-            model,
+            orchestrator._model,
             orchestrator._affected,
             orchestrator._ug_index,
             self._lat.array,
@@ -95,11 +164,10 @@ class ParallelSolver:
         self.pool = WorkerPool(n_workers, make_handler, timeout_s=timeout_s)
         #: World-state generation this pool was forked from.  The
         #: orchestrator bumps its own epoch on volume/peering mutations and
-        #: rebuilds any pool whose epoch lags — forked workers hold frozen
+        #: rebuilds any pool whose epoch lags: forked workers hold frozen
         #: copies of the scenario and must not serve a mutated world.
         self.world_epoch = getattr(orchestrator, "_world_epoch", 0)
         self._filled = False
-        self._slow_queries = PERF.counter("evaluator.scan_slow_queries")
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -125,7 +193,7 @@ class ParallelSolver:
 
         Returns ``False`` when the broadcast could not reach every worker
         (pool already broken, or it broke right here).  The caller must
-        treat that as a pool failure — a worker that missed the epoch bump
+        treat that as a pool failure: a worker that missed the epoch bump
         would solve against a stale learned set, so the next solve has to
         fall back instead of trusting (or waiting on) this pool.
         """
@@ -149,234 +217,28 @@ class ParallelSolver:
         self._orch._evaluator.backend.bind_latency_matrix(self._lat.array)
         self._filled = True
 
-    # -- the solve -----------------------------------------------------------
+    # -- one solve -----------------------------------------------------------
 
-    def solve(self, record_curve: bool = False) -> AdvertisementConfig:
-        """One full Algorithm-1 budget allocation, sharded; see ``_solve``."""
-        # Imported here: repro.core.orchestrator lazily imports this module.
-        from repro.core.orchestrator import EPSILON_BENEFIT, _BENEFIT_BUCKETS
+    def rows(self, learned_ug_ids: Tuple[int, ...]) -> PoolRows:
+        """Prepare the workers for one solve and return its row state.
 
-        orch = self._orch
-        scenario = orch._scenario
-        evaluator = orch._evaluator
-        model = orch._model
-        pool = self.pool
-        config = AdvertisementConfig()
-        orch.budget_curve = []
-        PERF.counter("orchestrator.solve_calls").add()
+        ``learned_ug_ids`` is the parent model's learned set: the workers'
+        forked models are frozen at pool creation and never consulted.
+        """
         PERF.counter("parallel.solve_calls").add()
-        marginal_evals = PERF.counter("orchestrator.marginal_evals")
-        naive_evals = PERF.counter("orchestrator.naive_marginal_evals")
-        repushes = PERF.counter("orchestrator.heap_repushes")
-        spec_hits = PERF.counter("parallel.speculative_hits")
-        refresh_rounds = PERF.counter("parallel.refresh_roundtrips")
-        marginal_hist = PERF.histogram(
-            "orchestrator.marginal_benefit", _BENEFIT_BUCKETS
-        )
         self._ensure_filled()
-
-        ugs = scenario.user_groups
-        n_ugs = len(ugs)
-        budget = orch._budget
-        anycast_arr = np.array([scenario.anycast_latency_ms(ug) for ug in ugs])
-        vol_list = [ug.volume for ug in ugs]
-        vol_arr = np.array(vol_list)
-        all_peering_ids = self._ctx.all_peering_ids
-        rows_np = self._ctx.rows_np
-        affected_map = self._ctx.affected
-
-        exp_np = np.full((n_ugs, budget), np.inf)
-
-        # Per-solve learned split, mirrored on both sides of the pipe: the
-        # parent owns the live model; workers get the set explicitly.
-        learned_ids = tuple(sorted(model.learned_ug_ids))
-        learned_rows = {
-            orch._ug_index[ug_id]
-            for ug_id in learned_ids
-            if ug_id in orch._ug_index
-        }
-        learned_sorted = np.fromiter(
-            sorted(learned_rows), dtype=np.intp, count=len(learned_rows)
+        self.pool.broadcast("prep", learned_ug_ids)
+        ugs = self._ctx.scenario.user_groups
+        return PoolRows(
+            self.pool,
+            self._gains.array,
+            self._ctx.unlearned_rows(learned_ug_ids),
+            np.array([ug.volume for ug in ugs]),
         )
-        pool.broadcast("prep", learned_ids)
-        # Parent-side layout over the same learned-filtered pair ordering the
-        # workers derived: gain-buffer spans, filtered volumes, and the
-        # learned (UG, row) remainders the parent corrects for exactly.
-        spans: Dict[int, Tuple[int, int]] = {}
-        vol_f: Dict[int, "np.ndarray"] = {}
-        learned_aff: Dict[int, List[Tuple[object, int]]] = {}
-        off = 0
-        for pid in all_peering_ids:
-            rows = rows_np[pid]
-            if learned_rows:
-                filt = rows[~np.isin(rows, learned_sorted)]
-            else:
-                filt = rows
-            spans[pid] = (off, len(filt))
-            off += len(filt)
-            vol_f[pid] = vol_arr[filt]
-            if len(filt) != len(rows):
-                learned_aff[pid] = [
-                    (ug, row)
-                    for ug, row in zip(affected_map[pid], rows.tolist())
-                    if row in learned_rows
-                ]
-        gain_view = self._gains.array
 
-        def learned_query(ug, advertised: set, pid: int) -> Optional[float]:
-            # The parent-side image of PrefixScan.query's slow path.
-            self._slow_queries.value += 1
-            return evaluator.expected_prefix_latency(
-                ug, frozenset(advertised | {pid})
-            )
-
-        for prefix in range(budget):
-            with TRACER.span("orchestrator.prefix_scan", prefix=prefix) as scan_span:
-                advertised: set = set()
-                base_np = (
-                    np.minimum(anycast_arr, exp_np.min(axis=1))
-                    if n_ugs
-                    else anycast_arr
-                )
-                base_list = base_np.tolist()
-                cur_p: List[Optional[float]] = [None] * n_ugs
-                pool.broadcast("round_start", base_np)
-
-                version = 0
-                heap: List[Tuple[float, int, int]] = []
-                for pid in all_peering_ids:
-                    marginal_evals.add()
-                    start, count = spans[pid]
-                    delta = float(vol_f[pid] @ gain_view[start : start + count])
-                    for ug, row in learned_aff.get(pid, ()):
-                        base = base_list[row]
-                        new_p = learned_query(ug, advertised, pid)
-                        if new_p is not None and new_p < base:
-                            delta += vol_list[row] * (base - new_p)
-                    heap.append((-delta, version, pid))
-                heapq.heapify(heap)
-
-                #: pid -> refreshed delta, valid until the next accept.
-                speculative: Dict[int, float] = {}
-
-                def refresh_batch(primary: int) -> None:
-                    batch = [primary]
-                    if SPECULATIVE_REFRESHES and len(heap) > 1:
-                        for neg, seen_v, pid in sorted(heap[:8])[
-                            : SPECULATIVE_REFRESHES + 1
-                        ]:
-                            if (
-                                seen_v != version
-                                and pid != primary
-                                and pid not in advertised
-                                and pid not in speculative
-                                and len(batch) <= SPECULATIVE_REFRESHES
-                            ):
-                                batch.append(pid)
-                    refresh_rounds.add()
-                    replies = pool.broadcast("refresh", batch)
-                    for i, pid in enumerate(batch):
-                        contrib = np.concatenate(
-                            [reply[i][0] for reply in replies]
-                        )
-                        delta = float(contrib.sum())
-                        for reply in replies:
-                            for correction in reply[i][1]:
-                                delta += correction
-                        for ug, row in learned_aff.get(pid, ()):
-                            base_s = base_list[row]
-                            old_p = cur_p[row]
-                            old_best = (
-                                base_s
-                                if old_p is None or base_s < old_p
-                                else old_p
-                            )
-                            new_p_s = learned_query(ug, advertised, pid)
-                            if new_p_s is None:
-                                new_best_s = old_best
-                            elif new_p_s < base_s:
-                                new_best_s = new_p_s
-                            else:
-                                new_best_s = base_s
-                            delta += vol_list[row] * (old_best - new_best_s)
-                        speculative[pid] = delta
-
-                while heap:
-                    neg_delta, seen_version, pid = heapq.heappop(heap)
-                    if pid in advertised:
-                        continue
-                    if seen_version != version:
-                        marginal_evals.add()
-                        if pid in speculative:
-                            spec_hits.add()
-                        else:
-                            refresh_batch(pid)
-                        fresh = speculative.pop(pid)
-                        if heap and fresh < -heap[0][0] - EPSILON_BENEFIT:
-                            repushes.add()
-                            heapq.heappush(heap, (-fresh, version, pid))
-                            continue
-                        neg_delta = -fresh
-                    if -neg_delta <= EPSILON_BENEFIT:
-                        break  # no peering offers positive benefit
-                    marginal_hist.observe(-neg_delta)
-                    advertised.add(pid)
-                    config.add(prefix, pid)
-                    version += 1
-                    speculative.clear()
-                    for worker_updates in pool.broadcast("accept", pid):
-                        for row, value in worker_updates:
-                            cur_p[row] = value
-                            exp_np[row, prefix] = (
-                                np.inf if value is None else value
-                            )
-                    if pid in learned_aff:
-                        frozen = frozenset(advertised)
-                        for ug, row in learned_aff[pid]:
-                            # scan.current() equivalent for learned rows.
-                            value = evaluator.expected_prefix_latency(ug, frozen)
-                            cur_p[row] = value
-                            exp_np[row, prefix] = (
-                                np.inf if value is None else value
-                            )
-                    if not orch._allow_reuse:
-                        break  # one peering per prefix (ablation)
-
-                accepts = len(advertised)
-                n_peerings = len(all_peering_ids)
-                if orch._allow_reuse:
-                    naive_evals.add(
-                        (accepts + 1) * n_peerings
-                        - accepts * (accepts + 1) // 2
-                    )
-                else:
-                    naive_evals.add(n_peerings)
-                scan_span.tag("accepted", accepts)
-            if not advertised:
-                break  # nothing left anywhere
-            logger.debug(
-                "prefix %d advertised via %d peerings (parallel)",
-                prefix,
-                accepts,
-            )
-            if record_curve:
-                from repro.core.orchestrator import BudgetPoint
-
-                evaluation = evaluator.evaluate(config)
-                orch.budget_curve.append(
-                    BudgetPoint(
-                        prefixes_used=config.prefix_count,
-                        pairs_used=config.pair_count,
-                        estimated_benefit=evaluation.estimated,
-                        upper_benefit=evaluation.upper,
-                        lower_benefit=evaluation.lower,
-                        mean_benefit=evaluation.mean,
-                    )
-                )
-
-        # Fold each worker's per-solve metrics (scan counters, fill timers)
-        # into the parent registry; workers snapshot-and-reset so a
-        # persistent pool never double-counts across solves.
-        for snapshot in pool.collect_metrics():
+    def merge_worker_metrics(self) -> None:
+        """Fold each worker's per-solve metrics (scan counters, fill timers)
+        into the parent registry; workers snapshot-and-reset, so a
+        persistent pool never double-counts across solves."""
+        for snapshot in self.pool.collect_metrics():
             METRICS.merge(snapshot)
-        return config

@@ -277,9 +277,12 @@ def test_begin_prefix_scan_rejects_mixed_forms(world) -> None:
 
 
 def test_solve_workers_kwarg_deprecated(world) -> None:
+    # Parallelism is set only by OrchestratorConfig.workers: solve() takes
+    # no per-call workers argument.
     orch = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=1))
-    with pytest.warns(DeprecationWarning, match="workers"):
-        config = orch.solve(workers=0)
+    with pytest.raises(TypeError):
+        orch.solve(workers=0)
+    config = orch.solve()
     assert config.pair_count > 0
 
 

@@ -3,8 +3,9 @@
 The differential suite (``test_parallel_solve.py``) proves end-to-end
 bit-identity; this one exercises each layer in isolation — shard-range
 arithmetic, the vectorized refresh expression against a scalar reference,
-:class:`ShardState` driven fully in-process (no fork, so coverage sees the
-lines), shared-memory round trips, and the pool's failure modes.
+:class:`ShardState` (a worker's row state over the shared matrices) driven
+fully in-process (no fork, so coverage sees the lines), shared-memory round
+trips, and the pool's failure modes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.parallel import (
     arm_worker_faults,
     shard_ranges,
 )
-from repro.parallel.shard import refresh_contrib
+from repro.kernels.numpy_backend import refresh_contrib
 from repro.scenario import tiny_scenario
 
 
@@ -175,18 +176,17 @@ class TestShardStateInProcess:
         )
         assert total == expected
         for shard in (shard_a, shard_b):
-            for pid, (sel, _lat, _dist, _vol) in shard.local.items():
+            for pid, sel in shard.rows.idx.items():
                 assert not (set(sel.tolist()) & learned_rows)
-            for pid, pairs in shard.shard_unlearned.items():
-                assert all(row not in learned_rows for _, row in pairs)
+                assert all(shard.lo <= row < shard.hi for row in sel.tolist())
 
     def test_invalidate_drops_per_solve_state(self, shard_world):
         orchestrator, ctx, shard_a, _ = shard_world
         shard_a.fill()
         shard_a.prep(())
-        assert shard_a.local
+        assert shard_a.rows is not None
         assert shard_a.invalidate((1, 2, 3)) == 3
-        assert not shard_a.local
+        assert shard_a.rows is None
         assert not shard_a.spans
 
     def test_round_start_writes_serial_gains(self, shard_world):

@@ -1,9 +1,10 @@
-"""Differential verification: sharded parallel solve vs the serial solver.
+"""Differential verification: pool solves vs the in-process solve.
 
-The parallel solver (``repro.parallel``) promises **bit-identical** results
-to ``PainterOrchestrator._solve`` for every worker count — same accepted
-pairs, same benefit curves, same learned-model evolution, same journal span
-structure.  This suite is the proof:
+A pool solve (``repro.parallel``) runs the same driver,
+``PainterOrchestrator._solve``, over row state held in forked workers, and
+promises **bit-identical** results for every worker count: same accepted
+pairs and accepted marginals, same benefit curves, same learned-model
+evolution, same journal span structure.  This suite is the proof:
 
 * golden tests pin serial and parallel output to the stored
   ``tests/data/golden_solve_configs.json`` fixtures (azure at the slow tier);
@@ -34,6 +35,7 @@ from repro.parallel import (
 from repro.perf import PERF
 from repro.scenario import azure_scenario, prototype_scenario, tiny_scenario
 from repro.telemetry import telemetry_session
+from repro.telemetry.metrics import Histogram
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_solve_configs.json"
 
@@ -86,6 +88,32 @@ def iteration_tuples(result):
     ]
 
 
+@pytest.fixture()
+def accepted_marginals(monkeypatch):
+    """Every accepted marginal, in accept order, as exact float hex strings.
+
+    Records the values observed into the ``orchestrator.marginal_benefit``
+    histogram (one observation per accepted pair).
+    """
+    recorded = []
+    observe = Histogram.observe
+
+    def recording_observe(self, value):
+        if self.name == "orchestrator.marginal_benefit":
+            recorded.append(float(value).hex())
+        observe(self, value)
+
+    monkeypatch.setattr(Histogram, "observe", recording_observe)
+    return recorded
+
+
+def take(recorded):
+    """Return and clear the values recorded so far."""
+    values = list(recorded)
+    recorded.clear()
+    return values
+
+
 @pytest.fixture(scope="module")
 def goldens():
     return json.loads(GOLDEN_PATH.read_text())
@@ -136,16 +164,19 @@ class TestDifferentialSolve:
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_solve_and_curve_identical(self, seed, workers):
+    def test_solve_and_curve_identical(self, seed, workers, accepted_marginals):
         scenario = tiny_scenario(seed=seed)
         serial = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=5))
         serial_config = serial.solve(record_curve=True)
+        serial_marginals = take(accepted_marginals)
         with PainterOrchestrator(
             scenario, OrchestratorConfig(prefix_budget=5, workers=workers)
         ) as parallel:
             parallel_config = parallel.solve(record_curve=True)
             assert config_pairs(parallel_config) == config_pairs(serial_config)
             assert curve_tuples(parallel) == curve_tuples(serial)
+            assert take(accepted_marginals) == serial_marginals
+            assert serial_marginals
 
     def test_parallel_path_actually_engaged(self):
         PERF.reset()
@@ -158,15 +189,23 @@ class TestDifferentialSolve:
             assert orchestrator._parallel is not None
             assert orchestrator._parallel.pool.alive()
 
-    def test_workers_argument_overrides_config(self):
+    def test_disabled_peering_solves_on_the_pool(self):
         scenario = tiny_scenario(seed=3)
-        with PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=3)) as orchestrator:
+        serial = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=3))
+        disabled = serial.solve().peerings_for(0)
+        pid = sorted(disabled)[0]
+        serial.set_peering_enabled(pid, False)
+        reference = serial.solve()
+        with PainterOrchestrator(
+            scenario, OrchestratorConfig(prefix_budget=3, workers=2)
+        ) as parallel:
+            parallel.set_peering_enabled(pid, False)
             PERF.reset()
-            orchestrator.solve(workers=2)
+            config = parallel.solve()
             assert PERF.counter("parallel.solve_calls").value == 1
-            # workers=0 forces the serial path even with a live pool.
-            orchestrator.solve(workers=0)
-            assert PERF.counter("parallel.solve_calls").value == 1
+            assert PERF.counter("parallel.fallbacks").value == 0
+            assert config_pairs(config) == config_pairs(reference)
+            assert all(pid not in config.peerings_for(p) for p in config.prefixes)
 
     def test_pool_persists_across_solves(self):
         with PainterOrchestrator(
@@ -182,10 +221,11 @@ class TestDifferentialLearn:
     """Full learning loops: every recorded float and the model evolution."""
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_learn_identical_on_tiny(self, workers):
+    def test_learn_identical_on_tiny(self, workers, accepted_marginals):
         scenario = tiny_scenario(seed=3)
         serial = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=4))
         serial_result = serial.learn(iterations=3)
+        serial_marginals = take(accepted_marginals)
         with PainterOrchestrator(
             scenario, OrchestratorConfig(prefix_budget=4, workers=workers)
         ) as parallel:
@@ -193,6 +233,10 @@ class TestDifferentialLearn:
             assert iteration_tuples(parallel_result) == iteration_tuples(
                 serial_result
             )
+            # Learned rows and shrink rows are summed into every marginal;
+            # the accepted values must agree to the last bit, not just the
+            # configurations they produced.
+            assert take(accepted_marginals) == serial_marginals
             # The learned models converged to identical preference state,
             # which means every mid-solve epoch bump replayed identically.
             assert model_snapshot(parallel) == model_snapshot(serial)
@@ -272,7 +316,7 @@ class TestFallback:
         try:
             solver.pool.kill_worker(1)
             with pytest.raises(WorkerPoolError):
-                solver.solve()
+                orchestrator._solve(solver=solver)
             assert solver.pool.broken
         finally:
             solver.close()
