@@ -19,12 +19,17 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.advertisement import AdvertisementConfig
-from repro.core.routing_model import RoutingModel
+from repro.core.routing_model import (
+    PairSet,
+    PreferenceIndex,
+    RoutingModel,
+    prune_candidates,
+)
 from repro.kernels import (
     ComputeBackend,
     MatrixLayoutPlan,
@@ -461,13 +466,7 @@ class BenefitEvaluator:
         )
 
     def begin_prefix_scan(
-        self,
-        context: Optional[ScanContext] = None,
-        *,
-        learned_ug_ids: Optional[Set[int]] = None,
-        table_source: Optional[
-            Callable[[UserGroup], Dict[int, Tuple[float, Optional[float]]]]
-        ] = None,
+        self, context: Optional[ScanContext] = None
     ) -> "PrefixScan":
         """Start an incremental Eq.-2 session for one prefix's inner loop.
 
@@ -478,24 +477,8 @@ class BenefitEvaluator:
         and ``table_source`` overrides how per-UG scan tables are built
         (shard workers source them from the shared latency/distance
         matrices rather than re-deriving each entry from the latency
-        oracle).  The loose ``learned_ug_ids=``/``table_source=`` keywords
-        are deprecated aliases.
+        oracle).
         """
-        if learned_ug_ids is not None or table_source is not None:
-            warnings.warn(
-                "begin_prefix_scan(learned_ug_ids=..., table_source=...) is "
-                "deprecated; pass begin_prefix_scan(context=ScanContext(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if context is not None:
-                raise TypeError(
-                    "pass either a ScanContext or the legacy keyword "
-                    "arguments, not both"
-                )
-            context = ScanContext(
-                learned_ug_ids=learned_ug_ids, table_source=table_source
-            )
         if context is None:
             context = ScanContext()
         return PrefixScan(
@@ -670,6 +653,75 @@ class _DenseRowTable:
         return dist, (None if math.isinf(lat) else lat)
 
 
+_EMPTY: FrozenSet[int] = frozenset()
+
+
+class _LearnedRow:
+    """One learned UG's scan state: the compliant accepted set ``C_A``.
+
+    ``ids`` is ``C_A`` ascending, with ``dists``/``lats`` its scan-table
+    entries; ``asns`` is its competitor-ASN set and ``cross`` the
+    preference bucket keyed by it (tracked only when the UG has cross-AS
+    buckets at all).  ``w_win``/``w_lose`` (within-AS pairs)
+    and ``x_win``/``x_lose`` (the cross bucket) are the winners and losers
+    among ``C_A``, ``winners``/``losers`` their unions.  ``buckets`` caches
+    the bucket for ``asns`` plus one more ASN.  ``seen`` counts the scan's
+    accepts folded in and ``value`` is the expected latency of ``C_A``.
+    ``ingress``, ``table``, ``index`` and ``outcome_sizes`` are the UG's
+    compliant set, scan table, preference index and remembered-set sizes.
+    """
+
+    __slots__ = (
+        "seen", "ingress", "table", "index", "outcome_sizes", "ids",
+        "members", "dists", "lats", "asns", "cross", "buckets", "w_win",
+        "w_lose", "x_win", "x_lose", "winners", "losers", "value",
+    )
+
+    def __init__(
+        self,
+        ingress: FrozenSet[int],
+        table,
+        index: Optional[PreferenceIndex],
+        outcome_sizes: Collection[int],
+    ) -> None:
+        self.seen = 0
+        self.ingress = ingress
+        self.table = table
+        self.index = index
+        self.outcome_sizes = outcome_sizes
+        self.ids: List[int] = []
+        self.members: FrozenSet[int] = _EMPTY
+        self.dists: List[float] = []
+        self.lats: List[Optional[float]] = []
+        self.asns: FrozenSet[int] = _EMPTY
+        self.cross: Optional[PairSet] = None
+        self.buckets: Dict[int, Tuple[FrozenSet[int], Optional[PairSet]]] = {}
+        self.w_win = self.w_lose = self.x_win = self.x_lose = _EMPTY
+        self.winners = self.losers = _EMPTY
+        self.value: Optional[float] = None
+
+
+def _grow(
+    pairs: PairSet,
+    winners: FrozenSet[int],
+    losers: FrozenSet[int],
+    members: FrozenSet[int],
+    peering_id: int,
+) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+    """Winners and losers of ``members ∪ {peering_id}`` from those of
+    ``members``: only the pairs touching ``peering_id`` can add any."""
+    beats = pairs.beats.get(peering_id)
+    if beats is not None:
+        winners = winners | {peering_id}
+        beaten = members.intersection(beats)
+        if beaten:
+            losers = losers | beaten
+    beaten_by = pairs.beaten_by.get(peering_id)
+    if beaten_by is not None and not members.isdisjoint(beaten_by):
+        losers = losers | {peering_id}
+    return winners, losers
+
+
 class PrefixScan:
     """Incremental Eq.-2 evaluation for one prefix's greedy inner loop.
 
@@ -686,9 +738,21 @@ class PrefixScan:
     so this session keeps, per UG, the accepted compliant ingresses sorted
     by distance with prefix sums of their measurable latencies.  A marginal
     query then costs one binary search instead of a full candidate-set
-    rebuild.  UGs with learned state fall back to the evaluator's exact
-    (memoized) path; the fast/slow split is reported by the
-    ``evaluator.scan_fast_queries`` / ``scan_slow_queries`` perf counters.
+    rebuild.
+
+    UGs with learned state keep a :class:`_LearnedRow` instead, brought up
+    to date with the accepted set on first touch after an accept: the
+    compliant accepted set ``C_A``, its ASNs and its winners and losers
+    under the model's :class:`~repro.core.routing_model.PreferenceIndex`.
+    A query for ``A ∪ {pid}`` checks the outcome memory, adds only
+    ``pid``'s preference edges and prunes with
+    :func:`~repro.core.routing_model.prune_candidates`, summing in
+    ascending peering-id order: the value equals
+    :meth:`BenefitEvaluator.expected_prefix_latency` bit for bit, without
+    filling its memo or the model's candidate cache.  The split is
+    reported by the ``evaluator.scan_fast_queries`` /
+    ``scan_slow_queries`` perf counters (the latter counts learned-row
+    queries).
 
     Mutating the routing model mid-scan (``observe``/``restore``) is not
     supported — Algorithm 1 only learns *between* solves.
@@ -696,7 +760,8 @@ class PrefixScan:
 
     __slots__ = (
         "_ev", "_model", "_learned", "_tables", "_table_source", "_d_reuse",
-        "_advertised", "_frozen", "_states", "_fast_queries", "_slow_queries",
+        "_accepted", "_states", "_learned_rows", "_fast_queries",
+        "_slow_queries",
     )
 
     def __init__(
@@ -716,11 +781,13 @@ class PrefixScan:
         self._tables = evaluator._scan_tables
         self._table_source = table_source
         self._d_reuse = self._model.d_reuse_km
-        self._advertised: Set[int] = set()
-        self._frozen: FrozenSet[int] = frozenset()
+        #: Accepted peerings in accept order (learned rows fold them in
+        #: lazily, tracking how many they have seen).
+        self._accepted: List[int] = []
         # ug_id -> [dists (sorted), latency prefix sums, measurable prefix
         # counts]; parallel lists, sums/cnts one longer than dists.
         self._states: Dict[int, List[list]] = {}
+        self._learned_rows: Dict[int, _LearnedRow] = {}
         self._fast_queries = PERF.counter("evaluator.scan_fast_queries")
         self._slow_queries = PERF.counter("evaluator.scan_slow_queries")
 
@@ -729,9 +796,12 @@ class PrefixScan:
         ug_id = ug.ug_id
         if ug_id in self._learned:
             self._slow_queries.value += 1
-            return self._ev.expected_prefix_latency(
-                ug, frozenset(self._advertised | {peering_id})
-            )
+            row = self._learned_rows.get(ug_id)
+            if row is None or row.seen != len(self._accepted):
+                row = self._learned_row(ug)
+            if peering_id in row.members or peering_id not in row.ingress:
+                return row.value
+            return self._learned_query(ug_id, row, peering_id)
         self._fast_queries.value += 1
         table = self._tables.get(ug_id)
         if table is None:
@@ -761,10 +831,160 @@ class PrefixScan:
             return table
         return self._ev._scan_table(ug)
 
+    def _learned_row(self, ug: UserGroup) -> _LearnedRow:
+        """The UG's learned-row state with every accept folded in."""
+        row = self._learned_rows.get(ug.ug_id)
+        if row is None:
+            table = self._tables.get(ug.ug_id)
+            if table is None:
+                table = self._build_table(ug)
+            model = self._model
+            row = self._learned_rows[ug.ug_id] = _LearnedRow(
+                model.catalog.ingress_ids(ug),
+                table,
+                model.preference_index(ug.ug_id),
+                model.outcome_sizes(ug.ug_id),
+            )
+        accepted = self._accepted
+        if row.seen < len(accepted):
+            grown = False
+            for peering_id in accepted[row.seen:]:
+                if peering_id in row.ingress:
+                    self._grow_row(row, peering_id)
+                    grown = True
+            if grown:
+                row.value = self._learned_value(
+                    ug.ug_id, row.ids, row.dists, row.lats, row.members,
+                    row.winners, row.losers,
+                )
+            row.seen = len(accepted)
+        return row
+
+    def _grow_row(self, row: _LearnedRow, peering_id: int) -> None:
+        """Fold a compliant accepted peering into ``row``."""
+        dist, lat = row.table[peering_id]
+        pos = bisect_right(row.ids, peering_id)
+        row.ids.insert(pos, peering_id)
+        row.dists.insert(pos, dist)
+        row.lats.insert(pos, lat)
+        members = row.members
+        row.members = members | {peering_id}
+        (
+            row.asns, row.cross, row.w_win, row.w_lose, row.x_win, row.x_lose
+        ) = self._pairs_with(row, members, peering_id)
+        row.winners = row.w_win | row.x_win
+        row.losers = row.w_lose | row.x_lose
+        row.buckets = {}
+
+    def _learned_query(
+        self, ug_id: int, row: _LearnedRow, peering_id: int
+    ) -> Optional[float]:
+        """Expected latency of ``C_A ∪ {peering_id}`` (a compliant
+        newcomer), from ``row`` plus the newcomer's preference edges."""
+        dist, lat = row.table[peering_id]
+        ids = row.ids
+        if not ids:
+            return lat  # singleton candidate set
+        members = row.members
+        winners = row.winners
+        losers = row.losers
+        if row.index is not None:
+            _asns, _cross, w_win, w_lose, x_win, x_lose = self._pairs_with(
+                row, members, peering_id
+            )
+            if w_win is not row.w_win or x_win is not row.x_win:
+                winners = w_win | x_win
+            if w_lose is not row.w_lose or x_lose is not row.x_lose:
+                losers = w_lose | x_lose
+        if len(ids) + 1 in row.outcome_sizes:
+            members = members | {peering_id}
+        else:
+            members = None  # no remembered outcome can match
+        pos = bisect_right(ids, peering_id)
+        return self._learned_value(
+            ug_id,
+            ids[:pos] + [peering_id] + ids[pos:],
+            row.dists[:pos] + [dist] + row.dists[pos:],
+            row.lats[:pos] + [lat] + row.lats[pos:],
+            members,
+            winners,
+            losers,
+        )
+
+    def _pairs_with(
+        self, row: _LearnedRow, members: FrozenSet[int], peering_id: int
+    ) -> tuple:
+        """``(asns, cross, w_win, w_lose, x_win, x_lose)`` for ``members ∪
+        {peering_id}``, from ``row``'s fields for ``members``.  Fields the
+        newcomer leaves alone come back as the very same objects."""
+        index = row.index
+        if index is None:
+            return (
+                row.asns, row.cross, row.w_win, row.w_lose, row.x_win,
+                row.x_lose,
+            )
+        w_win, w_lose = _grow(
+            index.within, row.w_win, row.w_lose, members, peering_id
+        )
+        if not index.cross:
+            return row.asns, None, w_win, w_lose, row.x_win, row.x_lose
+        asn = self._model.peer_asn(peering_id)
+        if asn in row.asns:
+            cross = row.cross
+            if cross is None:
+                return row.asns, None, w_win, w_lose, row.x_win, row.x_lose
+            x_win, x_lose = _grow(
+                cross, row.x_win, row.x_lose, members, peering_id
+            )
+            return row.asns, cross, w_win, w_lose, x_win, x_lose
+        # A new competitor AS: the cross-AS pairs in force are another
+        # bucket altogether.
+        entry = row.buckets.get(asn)
+        if entry is None:
+            asns = row.asns | {asn}
+            entry = row.buckets[asn] = (asns, index.cross.get(asns))
+        asns, cross = entry
+        if cross is None:
+            return asns, None, w_win, w_lose, _EMPTY, _EMPTY
+        winners, losers = cross.winners_losers(members | {peering_id})
+        return asns, cross, w_win, w_lose, frozenset(winners), frozenset(losers)
+
+    def _learned_value(
+        self,
+        ug_id: int,
+        ids: List[int],
+        dists: List[float],
+        lats: List[Optional[float]],
+        members: Optional[FrozenSet[int]],
+        winners: FrozenSet[int],
+        losers: FrozenSet[int],
+    ) -> Optional[float]:
+        """Eq.-2 expectation over the candidates the model predicts for the
+        compliant set ``ids`` (see ``RoutingModel._predict_candidates``);
+        ``members`` is ``ids`` as a set, or ``None`` when no remembered
+        outcome can match it."""
+        if not ids:
+            return None
+        if members is not None:
+            remembered = self._model.remembered_outcome(ug_id, members)
+            if remembered is not None and remembered in members:
+                return lats[ids.index(remembered)]  # singleton candidate set
+        total = 0.0
+        count = 0
+        for i in prune_candidates(ids, dists, winners, losers, self._d_reuse):
+            latency = lats[i]
+            if latency is None:
+                continue
+            total += latency
+            count += 1
+        if count == 0:
+            return None
+        return total / count
+
     def current(self, ug: UserGroup) -> Optional[float]:
         """Expected latency of the accepted set as it stands."""
         if ug.ug_id in self._learned:
-            return self._ev.expected_prefix_latency(ug, self._frozen)
+            return self._learned_row(ug).value
         state = self._states.get(ug.ug_id)
         if state is None:
             return None  # nothing compliant accepted yet
@@ -790,9 +1010,12 @@ class PrefixScan:
         return closest, total, count, (total / count if count else None)
 
     def accept(self, peering_id: int, affected: Sequence[UserGroup]) -> None:
-        """Fold an accepted peering into the session state."""
-        self._advertised.add(peering_id)
-        self._frozen = frozenset(self._advertised)
+        """Fold an accepted peering into the session state.
+
+        ``affected`` lists the unlearned UGs to update now; learned rows
+        catch up on their next query.
+        """
+        self._accepted.append(peering_id)
         for ug in affected:
             ug_id = ug.ug_id
             if ug_id in self._learned:

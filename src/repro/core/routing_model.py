@@ -16,7 +16,7 @@ time" (§3.1).  Two exclusion rules refine the uniform assumption:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.perf import PERF
 from repro.topology.cloud import CloudDeployment, Peering
@@ -29,6 +29,92 @@ DEFAULT_D_REUSE_KM = 3000.0
 
 #: Current on-disk/in-memory snapshot format (see :meth:`snapshot_preferences`).
 SNAPSHOT_VERSION = 2
+
+
+class PairSet:
+    """Preference pairs with both adjacency directions.
+
+    ``beats[w]`` holds the peerings ``w`` was observed to beat and
+    ``beaten_by[l]`` the peerings observed to beat ``l``, so the pairs
+    touching one peering are two dict lookups away.
+    """
+
+    __slots__ = ("pairs", "beats", "beaten_by")
+
+    def __init__(self) -> None:
+        self.pairs: Set[Tuple[int, int]] = set()
+        self.beats: Dict[int, Set[int]] = {}
+        self.beaten_by: Dict[int, Set[int]] = {}
+
+    def add(self, winner: int, loser: int) -> None:
+        self.pairs.add((winner, loser))
+        self.beats.setdefault(winner, set()).add(loser)
+        self.beaten_by.setdefault(loser, set()).add(winner)
+
+    def winners_losers(
+        self, members: Collection[int]
+    ) -> Tuple[Set[int], Set[int]]:
+        """Winners and losers among ``members`` (a set) under these pairs.
+
+        A member is a winner when it beats anyone at all, and a loser when
+        another member beats it — the two sets
+        :meth:`RoutingModel._predict_candidates` prunes with.
+        """
+        beats = self.beats
+        beaten_by = self.beaten_by
+        winners = {pid for pid in members if pid in beats}
+        losers = {
+            pid
+            for pid in members
+            if pid in beaten_by and not beaten_by[pid].isdisjoint(members)
+        }
+        return winners, losers
+
+
+class PreferenceIndex:
+    """One UG's preference pairs, arranged for bucket lookups.
+
+    Within-AS pairs apply to every candidate set; cross-AS pairs are
+    bucketed by the competitor-ASN context they were observed under, and a
+    bucket applies exactly when the candidate set's ASNs equal its key.
+    """
+
+    __slots__ = ("within", "cross")
+
+    def __init__(self) -> None:
+        self.within = PairSet()
+        self.cross: Dict[FrozenSet[int], PairSet] = {}
+
+
+def prune_candidates(
+    ids: Sequence[int],
+    dists: Sequence[float],
+    winners: Set[int],
+    losers: Set[int],
+    d_reuse_km: float,
+) -> List[int]:
+    """Positions in ``ids`` that stay candidates, ascending.
+
+    ``ids`` is a non-empty compliant set in any order with ``dists`` its
+    UG distances.  Losers go first unless that would empty the set; the
+    reuse distance then prunes what remains, sparing the winners.  The
+    closest survivor always passes the distance test (``d_reuse_km >=
+    0``), so the result is never empty.
+    """
+    positions: Sequence[int] = range(len(ids))
+    closest = None
+    if losers:
+        survivors = [i for i in positions if ids[i] not in losers]
+        if survivors:
+            positions = survivors
+            closest = min(dists[i] for i in survivors)
+    if closest is None:
+        closest = min(dists)
+    return [
+        i
+        for i in positions
+        if ids[i] in winners or dists[i] - closest <= d_reuse_km
+    ]
 
 
 class RoutingModel:
@@ -56,6 +142,14 @@ class RoutingModel:
         #: ingress actually observed.  Routing is deterministic per set, so
         #: a remembered outcome is a probability-1 prediction.
         self._outcomes: Dict[Tuple[int, FrozenSet[int]], int] = {}
+        #: Per UG: the sizes of its remembered compliant sets, so a lookup
+        #: for a set of any other size skips building its key.
+        self._outcome_sizes: Dict[int, Set[int]] = {}
+        #: Per UG: its preference pairs as a :class:`PreferenceIndex`,
+        #: built on first use and dropped whenever the UG's beliefs move.
+        self._pref_index: Dict[int, PreferenceIndex] = {}
+        #: Peering id -> peer ASN (the competitor identity of a peering).
+        self._asn_of: Dict[int, int] = {}
         #: Distance cache keyed by (ug_id, peering_id).
         self._distance_cache: Dict[Tuple[int, int], float] = {}
         self._pop_distance_cache: Dict[Tuple[int, str], float] = {}
@@ -105,6 +199,7 @@ class RoutingModel:
 
     def _invalidate_ug(self, ug_id: int) -> None:
         self._candidate_cache.pop(ug_id, None)
+        self._pref_index.pop(ug_id, None)
         self._ug_epoch[ug_id] = self._ug_epoch.get(ug_id, 0) + 1
         self._cand_stats.invalidations += 1
 
@@ -113,10 +208,59 @@ class RoutingModel:
             return len(self._preferences.get(ug.ug_id, ()))
         return sum(len(pairs) for pairs in self._preferences.values())
 
+    def peer_asn(self, peering_id: int) -> int:
+        """The peering's neighbor ASN (memoized)."""
+        asn = self._asn_of.get(peering_id)
+        if asn is None:
+            asn = self._asn_of[peering_id] = self._deployment.peering(
+                peering_id
+            ).peer_asn
+        return asn
+
     def _peer_asns(self, peering_ids: Iterable[int]) -> FrozenSet[int]:
-        return frozenset(
-            self._deployment.peering(pid).peer_asn for pid in peering_ids
-        )
+        peer_asn = self.peer_asn
+        return frozenset(peer_asn(pid) for pid in peering_ids)
+
+    def preference_index(self, ug_id: int) -> Optional[PreferenceIndex]:
+        """The UG's preference pairs as a :class:`PreferenceIndex`.
+
+        ``None`` when the UG has no pairs.  Built on first use and cached
+        until the UG's beliefs move (:meth:`observe`,
+        :meth:`restore_preferences`); callers must not mutate it.
+        """
+        index = self._pref_index.get(ug_id)
+        if index is None:
+            prefs = self._preferences.get(ug_id)
+            if not prefs:
+                return None
+            peer_asn = self.peer_asn
+            index = PreferenceIndex()
+            for (winner, loser), context in prefs.items():
+                if peer_asn(winner) == peer_asn(loser):
+                    index.within.add(winner, loser)
+                else:
+                    bucket = index.cross.get(context)
+                    if bucket is None:
+                        bucket = index.cross[context] = PairSet()
+                    bucket.add(winner, loser)
+            self._pref_index[ug_id] = index
+        return index
+
+    def outcome_sizes(self, ug_id: int) -> Collection[int]:
+        """Sizes of the compliant sets the UG has a remembered outcome for
+        (live view; do not mutate)."""
+        return self._outcome_sizes.get(ug_id, ())
+
+    def remembered_outcome(
+        self, ug_id: int, compliant: Collection[int]
+    ) -> Optional[int]:
+        """The ingress observed for exactly this compliant set, if any."""
+        sizes = self._outcome_sizes.get(ug_id)
+        if sizes is None or len(compliant) not in sizes:
+            return None
+        if not isinstance(compliant, frozenset):
+            compliant = frozenset(compliant)
+        return self._outcomes.get((ug_id, compliant))
 
     def _applicable_pairs(
         self, ug: UserGroup, compliant: FrozenSet[int]
@@ -133,20 +277,21 @@ class RoutingModel:
           intermediate propagation) — applicable only when the current
           competitor-ASN set matches the one observed.
         """
-        prefs = self._preferences.get(ug.ug_id)
-        if not prefs:
-            return set()
-        current_asns = self._peer_asns(compliant)
-        applicable: Set[Tuple[int, int]] = set()
-        for pair, context in prefs.items():
-            winner, loser = pair
-            same_as = (
-                self._deployment.peering(winner).peer_asn
-                == self._deployment.peering(loser).peer_asn
-            )
-            if same_as or current_asns == context:
-                applicable.add(pair)
-        return applicable
+        return set().union(
+            *(pairs.pairs for pairs in self._applicable_sets(ug.ug_id, compliant))
+        )
+
+    def _applicable_sets(
+        self, ug_id: int, compliant: FrozenSet[int]
+    ) -> List[PairSet]:
+        """The index buckets that apply to this candidate set."""
+        index = self.preference_index(ug_id)
+        if index is None:
+            return []
+        bucket = index.cross.get(self._peer_asns(compliant))
+        if bucket is None:
+            return [index.within]
+        return [index.within, bucket]
 
     # -- distances -----------------------------------------------------------
 
@@ -229,34 +374,20 @@ class RoutingModel:
     def _predict_candidates(
         self, ug: UserGroup, compliant: FrozenSet[int]
     ) -> FrozenSet[int]:
-        remembered = self._outcomes.get((ug.ug_id, compliant))
+        remembered = self.remembered_outcome(ug.ug_id, compliant)
         if remembered is not None and remembered in compliant:
             return frozenset({remembered})
 
-        pairs = self._applicable_pairs(ug, compliant)
         winners: Set[int] = set()
-        after_pref = set(compliant)
-        if pairs:
-            winners = {w for (w, loser) in pairs if w in compliant}
-            if winners:
-                losers = {
-                    loser for (w, loser) in pairs if w in compliant and loser in compliant
-                }
-                survivors = after_pref - losers
-                if survivors:
-                    after_pref = survivors
-
-        closest = min(self._distance_km(ug, pid) for pid in after_pref)
-        kept = {
-            pid
-            for pid in after_pref
-            if pid in winners
-            or self._distance_km(ug, pid) - closest <= self._d_reuse_km
-        }
-
-        if not kept:
-            kept = {min(compliant, key=lambda pid: self._distance_km(ug, pid))}
-        return frozenset(kept)
+        losers: Set[int] = set()
+        for pairs in self._applicable_sets(ug.ug_id, compliant):
+            bucket_winners, bucket_losers = pairs.winners_losers(compliant)
+            winners |= bucket_winners
+            losers |= bucket_losers
+        ids = sorted(compliant)
+        dists = [self._distance_km(ug, pid) for pid in ids]
+        kept = prune_candidates(ids, dists, winners, losers, self._d_reuse_km)
+        return frozenset(ids[i] for i in kept)
 
     def expected_latency_ms(
         self,
@@ -268,12 +399,15 @@ class RoutingModel:
 
         ``latency_of(ug, peering_id)`` supplies measured/estimated latency
         and may return ``None`` for unmeasurable ingresses, which are then
-        skipped.  Returns ``None`` when nothing is measurable.
+        skipped.  Returns ``None`` when nothing is measurable.  Latencies
+        are summed in ascending peering-id order, so the float does not
+        depend on how the candidate set was built; the evaluator's
+        learned-row scan sums in the same order and matches it bit for bit.
         """
         candidates = self.candidate_ingresses(ug, advertised)
         total = 0.0
         count = 0
-        for pid in candidates:
+        for pid in sorted(candidates):
             latency = latency_of(ug, pid)
             if latency is None:
                 continue
@@ -329,6 +463,7 @@ class RoutingModel:
             self._stale_observation_count += 1
             return learned
         self._outcomes[(ug.ug_id, compliant)] = actual_peering_id
+        self._outcome_sizes.setdefault(ug.ug_id, set()).add(len(compliant))
         for pid in compliant:
             if pid == actual_peering_id:
                 continue
@@ -347,11 +482,13 @@ class RoutingModel:
     ) -> bool:
         """Whether learned preferences exclude ``peering_id`` in this set."""
         compliant = self._catalog.compliant_subset(ug, advertised)
-        pairs = self._applicable_pairs(ug, compliant)
-        return any(
-            loser == peering_id and winner in advertised and winner != peering_id
-            for (winner, loser) in pairs
-        )
+        for pairs in self._applicable_sets(ug.ug_id, compliant):
+            winners = pairs.beaten_by.get(peering_id)
+            if winners and any(
+                w in advertised and w != peering_id for w in winners
+            ):
+                return True
+        return False
 
     def snapshot_preferences(self) -> Dict[str, object]:
         """Full learned state as a versioned dict (format ``SNAPSHOT_VERSION``).
@@ -413,6 +550,9 @@ class RoutingModel:
             (int(ug_id), frozenset(int(p) for p in compliant)): int(actual)
             for (ug_id, compliant), actual in outcomes.items()
         }
+        self._outcome_sizes = {}
+        for ug_id, compliant in self._outcomes:
+            self._outcome_sizes.setdefault(ug_id, set()).add(len(compliant))
         self._observation_count = observation_count
         self._stale_observation_count = stale_count
         self._learned_ugs = {
@@ -420,6 +560,7 @@ class RoutingModel:
         } | {ug_id for (ug_id, _compliant) in self._outcomes}
         # Every UG's beliefs may have changed wholesale.
         self._candidate_cache.clear()
+        self._pref_index.clear()
         self._global_epoch += 1
         self._cand_stats.invalidations += 1
 

@@ -56,8 +56,8 @@ from repro.telemetry import emit_event
 class ScanContext:
     """Injected state for one :class:`repro.core.benefit.PrefixScan` session.
 
-    Consolidates the loose ``learned_ug_ids=`` / ``table_source=`` keyword
-    surface of ``BenefitEvaluator.begin_prefix_scan``: a parallel shard
+    The one way to inject state into
+    ``BenefitEvaluator.begin_prefix_scan``: a parallel shard
     worker whose forked routing model is frozen at pool-creation time
     passes the authoritative learned set it received from the parent, and
     sources per-UG scan tables from the shared latency/distance matrices

@@ -254,26 +254,19 @@ def test_adopt_drop_latency_matrix_shims_warn_and_work(world) -> None:
     assert evaluator.backend.latency_matrix is None
 
 
-def test_begin_prefix_scan_legacy_kwargs_warn(world) -> None:
+def test_begin_prefix_scan_legacy_kwargs_removed(world) -> None:
+    # The loose learned_ug_ids=/table_source= keywords are gone: injected
+    # state travels only as a ScanContext.
     orch = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=1))
     evaluator = orch._evaluator
-    with pytest.warns(DeprecationWarning, match="ScanContext"):
+    with pytest.raises(TypeError):
         evaluator.begin_prefix_scan(learned_ug_ids=frozenset())
-    # The consolidated form is warning-free.
+    with pytest.raises(TypeError):
+        evaluator.begin_prefix_scan(table_source=None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         evaluator.begin_prefix_scan(ScanContext(learned_ug_ids=frozenset()))
-    evaluator.begin_prefix_scan()  # bare form stays supported, no warning
-
-
-def test_begin_prefix_scan_rejects_mixed_forms(world) -> None:
-    orch = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=1))
-    with pytest.raises(TypeError, match="either a ScanContext or the legacy"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            orch._evaluator.begin_prefix_scan(
-                ScanContext(), learned_ug_ids=frozenset()
-            )
+        evaluator.begin_prefix_scan()
 
 
 def test_solve_workers_kwarg_deprecated(world) -> None:
