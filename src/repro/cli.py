@@ -910,7 +910,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # A refused checkpoint is an operator decision, not a crash.  The
+        # module is loaded whenever its error can have been raised, so
+        # commands that never touch checkpoints don't pay its import.
+        checkpoint = sys.modules.get("repro.controller.checkpoint")
+        if checkpoint is None or not isinstance(
+            exc, checkpoint.CheckpointVersionError
+        ):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

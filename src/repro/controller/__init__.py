@@ -32,6 +32,7 @@ from repro.controller.checkpoint import (
     Checkpoint,
     CheckpointError,
     CheckpointStore,
+    CheckpointVersionError,
     DurableJournal,
 )
 from repro.controller.daemon import (
@@ -66,6 +67,7 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "CheckpointStore",
+    "CheckpointVersionError",
     "ControllerConfig",
     "ControllerError",
     "ControllerExtension",

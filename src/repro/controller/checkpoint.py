@@ -1,14 +1,21 @@
 """Crash-safe persistence for the controller: checkpoints and the journal.
 
-Two durability primitives, both built on ``repro.io.atomic_write_text``'s
-write-temp / fsync / rename contract:
+Two durability primitives, both built on ``repro.io``'s write-temp /
+fsync / rename contract:
 
 * :class:`CheckpointStore` — versioned, content-hashed snapshots of the
-  controller's full resume state, one file per iteration
-  (``checkpoint-00000042.json``).  Writes are atomic, loads verify the
-  SHA-256 of the payload, and a corrupt or torn file is *skipped* (with a
-  warning), falling back to the previous durable checkpoint instead of
-  refusing to start.
+  controller's full resume state, one envelope per iteration
+  (``checkpoint-00000042.json``).  Any ``np.ndarray`` in the payload is
+  stored in a binary sidecar next to it (``checkpoint-00000042.bin``):
+  the JSON keeps a ``{"__ndarray__": {dtype, shape, offset}}`` reference
+  and the envelope carries the sidecar's SHA-256.  Writes are atomic
+  (sidecar first, then the envelope, whose rename is the commit point),
+  loads verify both hashes, and a corrupt or torn checkpoint — envelope
+  or sidecar — is *skipped* (with a warning), falling back to the
+  previous durable checkpoint instead of refusing to start.  A
+  checkpoint of another format version is refused outright
+  (:class:`CheckpointVersionError`): skipping it would look like an
+  empty directory and silently restart the run.
 * :class:`DurableJournal` — a :class:`repro.telemetry.RunJournal` whose
   records are appended incrementally to a JSONL file and fsync'd at each
   iteration boundary.  On resume the file is reloaded tolerantly: a torn
@@ -29,7 +36,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.io import atomic_write_text
+import numpy as np
+
+from repro.io import atomic_write_bytes, atomic_write_text
 from repro.telemetry import METRICS
 from repro.telemetry.journal import RunJournal
 
@@ -38,19 +47,90 @@ logger = logging.getLogger(__name__)
 PathLike = Union[str, Path]
 
 #: Bump when the checkpoint payload schema changes incompatibly.
-CHECKPOINT_VERSION = 1
+#: Version 2 moved ndarray leaves into a binary sidecar.
+CHECKPOINT_VERSION = 2
 _CHECKPOINT_KIND = "painter-controller-checkpoint"
 _CHECKPOINT_RE = re.compile(r"^checkpoint-(\d{8})\.json$")
+_SIDECAR_RE = re.compile(r"^checkpoint-(\d{8})\.bin$")
 _JSON_COMPACT = {"sort_keys": True, "separators": (",", ":")}
+#: The payload is spliced into the envelope last, after this key, so its
+#: hash covers exactly the bytes on disk.
+_PAYLOAD_KEY = ',"payload":'
+#: Key of the JSON object that stands in for an ndarray leaf.
+_ARRAY_REF = "__ndarray__"
 
 
 class CheckpointError(ValueError):
     """Raised for malformed, mismatched, or corrupted checkpoints."""
 
 
-def _payload_digest(payload: Dict[str, Any]) -> str:
-    canonical = json.dumps(payload, **_JSON_COMPACT)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+class CheckpointVersionError(CheckpointError):
+    """A checkpoint written by an incompatible format version.
+
+    Not corruption: :meth:`CheckpointStore.latest` raises it instead of
+    falling back, because treating the directory as empty would restart
+    the run from iteration 0 and prune the old checkpoints.
+    """
+
+
+def _sha256(chunks) -> str:
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+class _SidecarWriter:
+    """``json.dumps`` ``default`` hook: swaps each ndarray for a reference
+    and queues its bytes for the sidecar (offsets in serialization order)."""
+
+    def __init__(self) -> None:
+        self.chunks: List[np.ndarray] = []
+        self.size = 0
+
+    def __call__(self, obj: Any) -> Dict[str, Any]:
+        if not isinstance(obj, np.ndarray) or obj.dtype.hasobject:
+            raise TypeError(
+                f"Object of type {type(obj).__name__} is not JSON serializable"
+            )
+        flat = np.ascontiguousarray(obj).reshape(-1).view(np.uint8)
+        ref = {
+            "dtype": obj.dtype.str,
+            "shape": list(obj.shape),
+            "offset": self.size,
+        }
+        self.chunks.append(flat)
+        self.size += flat.nbytes
+        return {_ARRAY_REF: ref}
+
+
+def _array_from(ref: Any, blob: bytes) -> np.ndarray:
+    try:
+        dtype = np.dtype(ref["dtype"])
+        shape = [int(d) for d in ref["shape"]]
+        offset = int(ref["offset"])
+        count = int(np.prod(shape, dtype=np.int64))
+        if dtype.hasobject or offset < 0 or min(shape, default=0) < 0:
+            raise ValueError("bad array reference")
+        if offset + count * dtype.itemsize > len(blob):
+            raise ValueError("array reference past the end of the sidecar")
+        array = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed array reference {ref!r}: {exc}") from exc
+    return array.reshape(shape).copy()
+
+
+def _resolve_arrays(node: Any, blob: Optional[bytes]) -> Any:
+    """Replace every array reference in a decoded payload by its array."""
+    if isinstance(node, dict):
+        if _ARRAY_REF in node and len(node) == 1:
+            if blob is None:
+                raise CheckpointError("array reference without a sidecar")
+            return _array_from(node[_ARRAY_REF], blob)
+        return {key: _resolve_arrays(value, blob) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_resolve_arrays(value, blob) for value in node]
+    return node
 
 
 @dataclass(frozen=True)
@@ -75,33 +155,61 @@ class CheckpointStore:
     def path_for(self, seq: int) -> Path:
         return self.directory / f"checkpoint-{seq:08d}.json"
 
+    @staticmethod
+    def sidecar_for(path: PathLike) -> Path:
+        """The binary sidecar belonging to envelope ``path``."""
+        return Path(path).with_suffix(".bin")
+
     def save(self, seq: int, payload: Dict[str, Any]) -> Path:
-        """Durably write checkpoint ``seq``; prunes beyond ``keep``."""
+        """Durably write checkpoint ``seq``; prunes beyond ``keep``.
+
+        Returns the envelope's path.  The payload is serialized once, in
+        canonical compact form; ndarray leaves go to the sidecar, which
+        is written (only when there are any) before the envelope.
+        """
         if seq < 0:
             raise ValueError("checkpoint seq must be non-negative")
-        envelope = {
+        sidecar = _SidecarWriter()
+        text = json.dumps(payload, default=sidecar, **_JSON_COMPACT)
+        head: Dict[str, Any] = {
             "kind": _CHECKPOINT_KIND,
             "version": CHECKPOINT_VERSION,
             "seq": seq,
-            "sha256": _payload_digest(payload),
-            "payload": payload,
+            "sha256": _sha256((text.encode("utf-8"),)),
         }
         path = self.path_for(seq)
-        atomic_write_text(path, json.dumps(envelope, sort_keys=True, indent=2))
+        if sidecar.chunks:
+            head["sidecar"] = {
+                "bytes": sidecar.size,
+                "sha256": _sha256(sidecar.chunks),
+            }
+            atomic_write_bytes(self.sidecar_for(path), sidecar.chunks)
+        head_text = json.dumps(head, **_JSON_COMPACT)
+        atomic_write_text(path, head_text[:-1] + _PAYLOAD_KEY + text + "}")
         METRICS.counter("controller.checkpoints").add()
         self._prune()
         return path
 
     def _prune(self) -> None:
+        """Keep the newest ``keep`` envelopes with their sidecars; drop
+        older pairs, orphan sidecars and temp files a crash left behind."""
         paths = self.list_paths()
-        for path in paths[: -self.keep]:
+        kept = {path.stem for path in paths[-self.keep:]}
+        doomed = list(paths[: -self.keep])
+        for path in self.directory.iterdir():
+            name = path.name
+            if _SIDECAR_RE.match(name) and path.stem not in kept:
+                doomed.append(path)
+            elif name.startswith(".checkpoint-") and name.endswith(".tmp"):
+                doomed.append(path)
+        for path in doomed:
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - best-effort cleanup
                 logger.debug("could not prune %s", path, exc_info=True)
 
     def list_paths(self) -> List[Path]:
-        """All checkpoint files, oldest first."""
+        """All checkpoint envelopes, oldest first."""
         entries = []
         for path in self.directory.iterdir():
             match = _CHECKPOINT_RE.match(path.name)
@@ -110,37 +218,72 @@ class CheckpointStore:
         return [path for _, path in sorted(entries)]
 
     def load(self, path: PathLike) -> Checkpoint:
-        """Read and verify one checkpoint file (raises on any mismatch)."""
+        """Read and verify one checkpoint and its sidecar.
+
+        Raises :class:`CheckpointVersionError` for another format version
+        and :class:`CheckpointError` for any other mismatch.
+        """
         path = Path(path)
         try:
-            envelope = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            text = path.read_text(encoding="utf-8")
+            envelope = json.loads(text)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
         if not isinstance(envelope, dict) or envelope.get("kind") != _CHECKPOINT_KIND:
             raise CheckpointError(f"{path} is not a controller checkpoint")
-        if envelope.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {envelope.get('version')!r}"
+        version = envelope.get("version")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointVersionError(
+                f"{path} is a version {version!r} checkpoint; this build reads "
+                f"version {CHECKPOINT_VERSION} only. Finish or resume that run "
+                "with the release that wrote it, or move the checkpoint "
+                "directory (journal included) aside to start a fresh run."
             )
         payload = envelope.get("payload")
         seq = envelope.get("seq")
-        if not isinstance(payload, dict) or not isinstance(seq, int):
+        split = text.find(_PAYLOAD_KEY)
+        if not isinstance(payload, dict) or not isinstance(seq, int) or split < 0:
             raise CheckpointError(f"{path} has a malformed envelope")
-        if _payload_digest(payload) != envelope.get("sha256"):
+        payload_text = text[split + len(_PAYLOAD_KEY):-1]
+        if _sha256((payload_text.encode("utf-8"),)) != envelope.get("sha256"):
             raise CheckpointError(f"{path} failed its content hash check")
-        return Checkpoint(seq=seq, payload=payload, path=path)
+        blob = None
+        sidecar = envelope.get("sidecar")
+        if sidecar is not None:
+            sidecar_path = self.sidecar_for(path)
+            try:
+                blob = sidecar_path.read_bytes()
+            except OSError as exc:
+                raise CheckpointError(
+                    f"unreadable sidecar {sidecar_path}: {exc}"
+                ) from exc
+            if (
+                not isinstance(sidecar, dict)
+                or len(blob) != sidecar.get("bytes")
+                or _sha256((blob,)) != sidecar.get("sha256")
+            ):
+                raise CheckpointError(
+                    f"{sidecar_path} failed its content hash check"
+                )
+        return Checkpoint(
+            seq=seq, payload=_resolve_arrays(payload, blob), path=path
+        )
 
     def latest(self) -> Optional[Checkpoint]:
         """The newest checkpoint that verifies; corrupt files are skipped.
 
         A crash can never tear a checkpoint (writes are atomic), but a
         disk can still rot one — recovery prefers losing an iteration to
-        refusing to start, so verification failures fall back to the
-        next-newest file.
+        refusing to start, so verification failures (envelope or
+        sidecar) fall back to the next-newest checkpoint.  A checkpoint of
+        another format version is not rot: its
+        :class:`CheckpointVersionError` propagates.
         """
         for path in reversed(self.list_paths()):
             try:
                 return self.load(path)
+            except CheckpointVersionError:
+                raise
             except CheckpointError as exc:
                 METRICS.counter("controller.corrupt_checkpoints").add()
                 logger.warning("skipping corrupt checkpoint: %s", exc)

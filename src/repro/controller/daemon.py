@@ -91,7 +91,9 @@ class ControllerExtension:
       wall-clock reads may feed metrics, but never journal events or
       snapshot payloads;
     * :meth:`snapshot` returns a JSON-ready dict capturing everything
-      needed to resume, and :meth:`restore` is its exact inverse.
+      needed to resume, and :meth:`restore` is its exact inverse.  Its
+      ``np.ndarray`` leaves are stored in the checkpoint's binary sidecar
+      and come back as (writable) arrays of the same dtype and shape.
     """
 
     def after_iteration(
@@ -100,7 +102,8 @@ class ControllerExtension:
         """Called once per iteration, after apply and before persist."""
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-ready resume state, stored inside the controller checkpoint."""
+        """JSON-ready resume state (ndarray leaves allowed), stored inside
+        the controller checkpoint."""
         return {}
 
     def restore(self, payload: Dict[str, Any]) -> None:

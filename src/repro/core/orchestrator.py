@@ -1134,12 +1134,15 @@ class PainterOrchestrator:
             # dense matrix already bound (an earlier pool fill or
             # materialization) the row precompute would only duplicate it,
             # so it is skipped: unfilled slots fall back per lookup to the
-            # same deterministic oracle.
+            # same deterministic oracle.  Latencies and the catalog are
+            # immutable, so the row fill runs once, before the first
+            # affected-array build; later solves would re-walk every row
+            # only to fill nothing.
             if self._use_dense_matrices():
                 evaluator.materialize_latency_matrices(
                     budget_bytes=self._config.dense_budget_bytes
                 )
-            if evaluator.backend.latency_matrix is None:
+            if self._aff_rows is None and evaluator.backend.latency_matrix is None:
                 evaluator.precompute_latency_matrix()
             self._ensure_affected_arrays()
             rows = RowState(evaluator, *self._learned_split(learned_rows))

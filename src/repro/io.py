@@ -19,7 +19,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Iterable, List, Union
 
 from repro.core.advertisement import AdvertisementConfig
 from repro.core.orchestrator import IterationRecord, LearningResult
@@ -51,14 +51,22 @@ def atomic_write_text(path: PathLike, text: str) -> None:
     crash at any instant leaves either the complete old file or the
     complete new one — never a torn mix.
     """
+    atomic_write_bytes(path, (text.encode("utf-8"),))
+
+
+def atomic_write_bytes(path: PathLike, chunks: Iterable[Any]) -> None:
+    """:func:`atomic_write_text` for binary data: writes each buffer of
+    ``chunks`` (bytes or any contiguous buffer, e.g. a numpy array) in
+    order, under the same write-temp / fsync / rename contract."""
     target = Path(path)
     directory = target.parent
     fd, tmp_name = tempfile.mkstemp(
         dir=str(directory) or ".", prefix=f".{target.name}.", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, target)

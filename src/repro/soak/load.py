@@ -5,9 +5,7 @@ curve (evening peak, pre-dawn trough), and occasionally one metro spikes
 far above its curve — a flash crowd.  :class:`DiurnalLoad` models both
 deterministically, so a soak run can be replayed bit-identically and a
 killed soak can resume mid-day and regenerate exactly the flow batches it
-already offered (flow keys depend only on the per-window seed, which is
-what lets the driver end a window's flows ``flow_lifetime`` windows later
-without storing a single key).
+would have offered (flow keys depend only on the per-window seed).
 
 Everything here is derived from the scenario and the seed — no wall
 clock, no mutable state.  ``multipliers(w)`` → per-UG demand multiplier
@@ -182,8 +180,7 @@ class DiurnalLoad:
 
     def batch(self, window: int) -> FlowBatch:
         """The flow batch offered during ``window`` — keys are a pure
-        function of (seed, window, arrivals), so the same batch can be
-        regenerated later to end its flows."""
+        function of (seed, window, arrivals)."""
         volumes = self.volumes(window)
         total = float(volumes.sum())
         weights = volumes if total > 0 else None

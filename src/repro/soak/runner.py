@@ -62,10 +62,10 @@ from repro.core.orchestrator import OrchestratorConfig
 from repro.faults.events import PopOutage
 from repro.faults.schedule import FaultSchedule
 from repro.soak.load import DiurnalLoad
-from repro.soak.slo import SLOLedger, _decode_array, _encode_array
+from repro.io import atomic_write_text
+from repro.soak.slo import SLOLedger
 from repro.telemetry import METRICS, TRACER
 from repro.traffic_manager.dataplane import (
-    FlowBatch,
     ScalarDataPlane,
     VectorFlowTable,
     plane_from_snapshot,
@@ -75,7 +75,9 @@ from repro.traffic_manager.selection import SelectorBank
 PathLike = Union[str, Path]
 
 #: Bump when the driver's checkpoint payload schema changes incompatibly.
-SOAK_SNAPSHOT_VERSION = 1
+#: Version 2 stores the vector plane's columns and the switch counters as
+#: ndarrays (checkpoint sidecar) instead of base64 text.
+SOAK_SNAPSHOT_VERSION = 2
 
 
 class SoakError(RuntimeError):
@@ -313,18 +315,6 @@ class SoakDriver(ControllerExtension):
             matrix = np.zeros((self._n, 0))
         return names, matrix
 
-    def _admitted_batch(self, window: int) -> FlowBatch:
-        """The batch actually admitted during ``window`` (cap applied)."""
-        batch = self._load.batch(window)
-        cap = self._cfg.admit_cap
-        if cap is not None and len(batch) > cap:
-            batch = FlowBatch(
-                keys=batch.keys[:cap],
-                service_ids=batch.service_ids[:cap],
-                payload_bytes=batch.payload_bytes[:cap],
-            )
-        return batch
-
     def after_iteration(
         self, iteration: int, config: AdvertisementConfig, controller
     ) -> None:
@@ -363,16 +353,19 @@ class SoakDriver(ControllerExtension):
             self.remaps += remaps
             self.flows_moved += moved
 
-            # Offer the window's arrivals (flash-crowd overflow is shed).
+            # Offer the window's arrivals; past the admission cap, the
+            # flash-crowd overflow is shed.
             full = self._load.batch(window)
             offered = np.bincount(
                 full.service_ids, minlength=n
             ).astype(np.int64)
-            batch = self._admitted_batch(window)
+            batch = full
             shed = np.zeros(n, dtype=np.int64)
-            if len(batch) < len(full):
+            cap = cfg.admit_cap
+            if cap is not None and len(full) > cap:
+                batch = full.head(cap)
                 shed = np.bincount(
-                    full.service_ids[len(batch):], minlength=n
+                    full.service_ids[cap:], minlength=n
                 ).astype(np.int64)
             started = time.perf_counter()
             fr = self._plane.forward(
@@ -389,14 +382,12 @@ class SoakDriver(ControllerExtension):
                 batch.service_ids[fr.assignments < 0], minlength=n
             ).astype(np.int64)
 
-            # Expire flows admitted flow_lifetime windows ago — the load
-            # model regenerates that window's keys instead of storing them.
+            # Expire flows admitted flow_lifetime windows ago, by their
+            # admission time (window k admits at k * window_s).
             ended = 0
             lifetime = cfg.flow_lifetime_windows
             if lifetime and window >= lifetime:
-                ended = self._plane.end(
-                    self._admitted_batch(window - lifetime).keys
-                )
+                ended = self._plane.expire((window - lifetime) * cfg.window_s)
 
             # Fold the window into the ledger.
             latency = np.full(n, np.inf)
@@ -477,26 +468,24 @@ class SoakDriver(ControllerExtension):
         return self._plane.to_snapshot()
 
     def snapshot(self) -> Dict[str, Any]:
+        """Resume state; its ndarray leaves (the vector plane's columns,
+        the switch counters) ride the checkpoint's binary sidecar."""
         return {
             "version": SOAK_SNAPSHOT_VERSION,
             "plane": self._plane_state(),
             "bank": self._bank.to_snapshot(),
             "ledger": self._ledger.state_dict(),
-            "prev_switches": _encode_array(self._prev_switches),
+            "prev_switches": self._prev_switches.copy(),
         }
 
     def restore(self, payload: Mapping[str, Any]) -> None:
         version = payload.get("version")
         if version != SOAK_SNAPSHOT_VERSION:
             raise SoakError(f"unsupported soak snapshot version {version!r}")
-        plane_state = payload["plane"]
-        if plane_state.get("kind") == "vector-packed":
-            self._plane = VectorFlowTable.from_packed_snapshot(plane_state)
-        else:
-            self._plane = plane_from_snapshot(plane_state)
+        self._plane = plane_from_snapshot(payload["plane"])
         self._bank = SelectorBank.from_snapshot(payload["bank"])
         self._ledger = SLOLedger.from_state(payload["ledger"])
-        self._prev_switches = _decode_array(payload["prev_switches"])
+        self._prev_switches = np.array(payload["prev_switches"], dtype=np.int64)
 
 
 @dataclass
@@ -546,10 +535,9 @@ class SoakResult:
             "summary": self.summary(),
             "ledger": self.ledger.state_dict(),
         }
-        target = Path(path)
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, target)
+        atomic_write_text(
+            path, json.dumps(document, indent=2, sort_keys=True) + "\n"
+        )
 
 
 def build_soak_deltas(scenario, cfg: SoakConfig, load: Optional[DiurnalLoad] = None):

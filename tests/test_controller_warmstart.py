@@ -276,3 +276,40 @@ class TestDirtStateRobustness:
                 orch.apply_volume_shift(10**9, 5.0)
         finally:
             orch.close()
+
+
+class TestLatencyFill:
+    def test_latency_rows_fill_once_across_warm_solves(
+        self, warm_orch, monkeypatch
+    ):
+        """Latencies and the catalog never change, so only the first solve
+        walks the UG rows; warm re-solves still equal fresh cold solves."""
+        from repro.core.benefit import BenefitEvaluator
+
+        filled = []
+        real_fill = BenefitEvaluator.precompute_latency_matrix
+
+        def counting_fill(self, *args, **kwargs):
+            filled.append(real_fill(self, *args, **kwargs))
+            return filled[-1]
+
+        monkeypatch.setattr(
+            BenefitEvaluator, "precompute_latency_matrix", counting_fill
+        )
+        warm_orch.solve_warm()
+        ug = warm_orch._scenario.user_groups[0]
+        volume = ug.volume * 3.0
+        pid = sorted(warm_orch._affected)[0]
+
+        def mutate(orch):
+            orch.apply_volume_shift(ug.ug_id, volume)
+            orch.set_peering_enabled(pid, False)
+
+        mutate(warm_orch)
+        warm = config_pairs(warm_orch.solve_warm())
+        assert warm_orch.last_warm_stats.mode == "warm"
+        warm_orch.solve()
+        assert len(filled) == 1 and filled[0] > 0
+        assert warm == fresh_reference(
+            lambda: tiny_scenario(seed=3), mutate, budget=4
+        )

@@ -16,11 +16,13 @@ The soak harness's headline claims, proven rather than asserted:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,12 @@ from repro.soak import (
 )
 
 pytestmark = pytest.mark.soak
+
+#: Journals and fingerprints of the key-based expiry path (before flows
+#: expired by admission time), per ``BASE`` variant.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_soak_journals.json").read_text()
+)
 
 #: Small-but-complete soak: storms, flash crowds, flow expiry all active.
 BASE = dict(
@@ -119,6 +127,36 @@ class TestSeedDifferential:
         )
         assert resumed.ledger.fingerprint() == reference["fingerprint"]
 
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_admission_time_expiry_reproduces_golden_journals(
+        self, tmp_path, case
+    ):
+        golden = GOLDEN[case]
+        result = run_soak(soak_config(**golden["overrides"]), tmp_path / "cp")
+        journal = result.controller.journal_path.read_bytes()
+        ended = [
+            e["ended"]
+            for e in journal_events(result.controller.journal_path, "soak_window")
+        ]
+        assert ended == golden["ended"]
+        assert result.ledger.fingerprint() == golden["fingerprint"]
+        assert hashlib.sha256(journal).hexdigest() == golden["journal_sha256"]
+
+    def test_one_load_batch_per_window(self, tmp_path, monkeypatch):
+        from repro.soak.load import DiurnalLoad
+
+        calls = []
+        real_batch = DiurnalLoad.batch
+
+        def counting_batch(self, window):
+            calls.append(window)
+            return real_batch(self, window)
+
+        monkeypatch.setattr(DiurnalLoad, "batch", counting_batch)
+        result = run_soak(soak_config(admit_cap=1_000), tmp_path / "cp")
+        assert int(result.ledger.shed.sum()) > 0
+        assert calls == list(range(BASE["windows"]))
+
     def test_summary_and_report_round_trip(self, tmp_path, reference):
         result = reference["result"]
         summary = result.summary()
@@ -130,6 +168,19 @@ class TestSeedDifferential:
         assert document["kind"] == "painter-soak-slo"
         restored = SLOLedger.from_state(document["ledger"])
         assert restored.fingerprint() == reference["fingerprint"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["slo.json"]
+
+    def test_slo_report_is_written_atomically(
+        self, tmp_path, reference, monkeypatch
+    ):
+        import repro.soak.runner as runner
+
+        writes = []
+        monkeypatch.setattr(
+            runner, "atomic_write_text", lambda path, text: writes.append(path)
+        )
+        reference["result"].write_slo_report(tmp_path / "slo.json")
+        assert writes == [tmp_path / "slo.json"]
 
 
 class TestFlowConservation:
@@ -367,3 +418,37 @@ class TestKillAndResumeCLI:
         reference_ledger = SLOLedger.from_state(cli_reference["ledger"])
         assert ledger.fingerprint() == reference_ledger.fingerprint()
         assert "fingerprint " + ledger.fingerprint() in cli_reference["stdout"]
+        # Whole envelope/sidecar pairs only: no orphan, no temp file.
+        names = sorted(p.name for p in checkpoint.iterdir())
+        stems = sorted({name.rsplit(".", 1)[0] for name in names} - {"journal"})
+        assert len(stems) == 3
+        assert names == sorted(
+            [f"{stem}.{ext}" for stem in stems for ext in ("bin", "json")]
+            + ["journal.jsonl"]
+        )
+
+    def test_corrupt_newest_sidecar_falls_back_and_resumes(
+        self, tmp_path, cli_reference
+    ):
+        checkpoint = tmp_path / "cp"
+        slo = tmp_path / "slo.json"
+        crashed = run_cli(
+            soak_cmd(
+                checkpoint, slo, "--crash-at", "3", "--crash-point",
+                "after_checkpoint",
+            )
+        )
+        assert crashed.returncode in (-signal.SIGKILL, 128 + signal.SIGKILL)
+        newest = sorted(checkpoint.glob("checkpoint-*.bin"))[-1]
+        assert newest.name == "checkpoint-00000003.bin"
+        blob = bytearray(newest.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        newest.write_bytes(bytes(blob))
+
+        resumed = run_cli(soak_cmd(checkpoint, slo))
+        assert resumed.returncode == 0, resumed.stderr
+        assert "skipping corrupt checkpoint" in resumed.stderr
+        assert "resumed from checkpoint 2" in resumed.stdout
+        assert (
+            checkpoint / "journal.jsonl"
+        ).read_bytes() == cli_reference["journal"]

@@ -373,3 +373,161 @@ class TestScalarPlaneSharesFlowTable:
         # The legacy per-flow surface sees the batched admission (by key).
         assert table.lookup(flow_key(ft)) is not None
         assert table.destinations() == {PREFIXES[0]: 1}
+
+
+class TestAdmissionTimeExpiry:
+    """``expire(t)`` ends every flow admitted at or before ``t``.
+
+    The scalar reference walks its entries' ``created_at_s``; the vector
+    plane masks its ``created`` column.  Both must end the same flows
+    through any interleaving of admissions, failovers, key-based ends and
+    snapshot round-trips.
+    """
+
+    OPS = st.lists(
+        st.tuples(
+            st.sampled_from(["forward", "remap", "expire", "end", "snapshot"]),
+            st.integers(0, 2**16),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+
+    @given(ops=OPS)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_scalar_and_vector_expire_identically(self, ops):
+        scalar, vector = ScalarDataPlane(), VectorFlowTable()
+        selections = make_selections(4)
+        seen_keys = []
+        now = 0.0
+        for op, seed in ops:
+            if op == "forward":
+                now += 10.0
+                batch = FlowBatch.synthesize(
+                    seed % 60 + 1, seed=seed, n_services=4
+                )
+                if seen_keys and seed % 3 == 0:
+                    # Re-offer live keys: they keep their admission time.
+                    old = seen_keys[-1][:10]
+                    batch = FlowBatch(
+                        keys=np.concatenate([batch.keys, old]),
+                        service_ids=np.concatenate(
+                            [batch.service_ids, np.zeros(len(old), dtype=np.int32)]
+                        ),
+                        payload_bytes=np.concatenate(
+                            [batch.payload_bytes, np.full(len(old), 3.0)]
+                        ),
+                    )
+                rs = scalar.forward(batch, selections, now)
+                rv = vector.forward(batch, selections, now)
+                assert np.array_equal(rs.assignments, rv.assignments)
+                seen_keys.append(batch.keys)
+            elif op == "remap":
+                src = PREFIXES[seed % len(PREFIXES)]
+                dst = PREFIXES[(seed + 1) % len(PREFIXES)]
+                assert scalar.remap(src, dst) == vector.remap(src, dst)
+            elif op == "expire":
+                # Cutoffs on, between and past the admission times.
+                cutoff = now - 5.0 * (seed % 5)
+                ended = scalar.expire(cutoff)
+                assert vector.expire(cutoff) == ended
+                assert scalar.expire(cutoff) == vector.expire(cutoff) == 0
+            elif op == "end":
+                if seen_keys:
+                    victims = seen_keys[seed % len(seen_keys)][: seed % 20 + 1]
+                    assert scalar.end(victims) == vector.end(victims)
+            else:
+                scalar = plane_from_snapshot(scalar.to_snapshot())
+                vector = plane_from_snapshot(vector.to_packed_snapshot())
+            assert_planes_agree(scalar, vector)
+
+    def test_expire_ends_exactly_the_admitted_windows(self):
+        vector = VectorFlowTable()
+        selections = make_selections(3, include_none=False)
+        for window in range(4):
+            batch = FlowBatch.synthesize(50, seed=window, n_services=3)
+            assert vector.forward(batch, selections, window * 600.0).admitted == 50
+        # Re-offering a window-0 flow later does not refresh its admission.
+        vector.forward(
+            FlowBatch.synthesize(50, seed=0, n_services=3), selections, 3000.0
+        )
+        assert vector.expire(-1.0) == 0
+        assert vector.expire(600.0) == 100
+        assert vector.flow_count() == 100
+        assert vector.expire(600.0) == 0
+        assert vector.expire(1e9) == 100
+        assert vector.flow_count() == 0
+        assert vector.expire(1e9) == 0
+
+    def test_expire_counts_as_ended_flows(self):
+        from repro.perf import PERF
+
+        before = PERF.counter("tm.flows_ended").value
+        for plane in (ScalarDataPlane(), VectorFlowTable()):
+            plane.forward(
+                FlowBatch.synthesize(30, seed=1, n_services=2),
+                make_selections(2, include_none=False),
+                5.0,
+            )
+            assert plane.expire(5.0) == 30
+        assert PERF.counter("tm.flows_ended").value == before + 60
+
+
+class TestPackedSnapshot:
+    def test_columns_are_raw_arrays_and_independent_copies(self):
+        vector = VectorFlowTable()
+        selections = make_selections(3, include_none=False)
+        vector.forward(FlowBatch.synthesize(200, seed=2, n_services=3), selections, 1.0)
+        snapshot = vector.to_packed_snapshot()
+        assert snapshot["kind"] == "vector-packed"
+        columns = snapshot["columns"]
+        assert {name: str(col.dtype) for name, col in columns.items()} == {
+            "keys": "uint64",
+            "service": "int32",
+            "prefix": "int32",
+            "bytes": "float64",
+            "created": "float64",
+            "last_seen": "float64",
+        }
+        frozen = {name: col.copy() for name, col in columns.items()}
+        # In-place table updates (failover, byte accounting) must not leak
+        # into a snapshot already taken.
+        vector.remap(PREFIXES[0], PREFIXES[1])
+        vector.forward(FlowBatch.synthesize(200, seed=2, n_services=3), selections, 9.0)
+        for name, col in columns.items():
+            assert np.array_equal(col, frozen[name])
+
+    def test_round_trip_is_bit_exact_and_keeps_steering(self):
+        vector = VectorFlowTable()
+        selections = make_selections(3)
+        vector.forward(FlowBatch.synthesize(300, seed=4, n_services=3), selections, 2.5)
+        restored = plane_from_snapshot(vector.to_packed_snapshot())
+        assert isinstance(restored, VectorFlowTable)
+        for name, col in vector.to_packed_snapshot()["columns"].items():
+            assert np.array_equal(col, restored.to_packed_snapshot()["columns"][name])
+        more = FlowBatch.synthesize(100, seed=5, n_services=3)
+        a = vector.forward(more, selections, 3.0)
+        b = restored.forward(more, selections, 3.0)
+        assert np.array_equal(a.assignments, b.assignments)
+        assert vector.remap(PREFIXES[0], PREFIXES[2]) == restored.remap(
+            PREFIXES[0], PREFIXES[2]
+        )
+        assert vector.expire(2.5) == restored.expire(2.5)
+        assert_planes_agree_pair(vector, restored)
+
+    def test_rejects_non_array_and_mismatched_columns(self):
+        vector = VectorFlowTable()
+        vector.forward(
+            FlowBatch.synthesize(10, seed=1, n_services=2),
+            make_selections(2, include_none=False),
+            0.0,
+        )
+        snapshot = vector.to_packed_snapshot()
+        listed = dict(snapshot, columns=dict(snapshot["columns"]))
+        listed["columns"]["keys"] = listed["columns"]["keys"].tolist()
+        with pytest.raises(ValueError, match="must be a uint64 array"):
+            plane_from_snapshot(listed)
+        short = dict(snapshot, columns=dict(snapshot["columns"]))
+        short["columns"]["bytes"] = short["columns"]["bytes"][:-1]
+        with pytest.raises(ValueError, match="mismatched lengths"):
+            plane_from_snapshot(short)
